@@ -25,8 +25,6 @@ from .priors import (
     PriorSpec,
     estimate_truncation_prob,
     log_prior,
-    log_prior_student,
-    log_prior_uniform,
     log_q,
     sample_prior,
 )

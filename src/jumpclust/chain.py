@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Centers
+from .core import Centers, clip_to_ball
 from .posterior import TargetDensity, log_target
 from .proposals import StepProposals, student_log_density, student_sample
 
@@ -34,7 +34,6 @@ __all__ = [
     "step",
     "run_chain",
     "initial_state",
-    "clip_to_support",
 ]
 
 
@@ -158,23 +157,10 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     return state, trace
 
 
-def clip_to_support(points: np.ndarray, radius: float) -> np.ndarray:
-    """Radially project rows outside the ball of radius 2R just inside it."""
-    if math.isinf(radius):
-        return points
-    pts = np.array(points, dtype=float)
-    norms = np.linalg.norm(pts, axis=1)
-    limit = 2.0 * radius - 1e-9 * radius
-    over = norms > 2.0 * radius
-    if over.any():
-        pts[over] *= (limit / norms[over])[:, None]
-    return pts
-
-
 def initial_state(k0: int, tgt: TargetDensity, proposals: StepProposals) -> ChainState:
-    """Warm-started state: the k0-means locations, projected into the support."""
-    pts = clip_to_support(proposals.locations(k0), tgt.prior.radius)
-    centers = Centers(pts)
+    """Warm-started state: the k0-means locations, projected just inside the
+    support ball of radius 2R."""
+    centers = Centers(clip_to_ball(proposals.locations(k0), 2.0 * tgt.prior.radius * (1 - 1e-9)))
     ld = log_target(centers, tgt)
     if not math.isfinite(ld):
         raise ValueError("warm-start state has zero target density")

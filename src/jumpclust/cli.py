@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -120,17 +121,16 @@ def _add_stream_args(p: _Parser):
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = StreamConfig(**{**_cfg_kwargs(cfg), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     xs, k_true = _load_stream(args)
     if args.radius_auto:
-        from dataclasses import replace as _replace
-
-        kwargs = _cfg_kwargs(cfg)
-        kwargs["radius"] = float(np.linalg.norm(xs, axis=1).max())
-        if cfg.schedule.kind in ("horizon", "anytime"):
+        schedule = cfg.schedule
+        if schedule.kind in ("horizon", "anytime"):
             # re-resolve radius-dependent schedules against the new radius
-            kwargs["schedule"] = _replace(cfg.schedule, radius=None)
-        cfg = StreamConfig(**kwargs)
+            schedule = dataclasses.replace(schedule, radius=None)
+        cfg = dataclasses.replace(
+            cfg, radius=float(np.linalg.norm(xs, axis=1).max()), schedule=schedule
+        )
     rec_path, sum_path = _prepare_outputs(
         args.out, ["records.jsonl", "summary.csv"], args.overwrite
     )
@@ -150,23 +150,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cfg_kwargs(cfg: StreamConfig) -> dict:
-    return {
-        "dim": cfg.dim,
-        "max_clusters": cfg.max_clusters,
-        "radius": cfg.radius,
-        "decay": cfg.decay,
-        "prior_kind": cfg.prior_kind,
-        "prior_scale": cfg.prior_scale,
-        "schedule": cfg.schedule,
-        "chain_length": cfg.chain_length,
-        "burn_in": cfg.burn_in,
-        "seed": cfg.seed,
-        "kmeans": cfg.kmeans,
-        "label_correction": cfg.label_correction,
-    }
-
-
 # --- replicate ----------------------------------------------------------------
 
 def _benchmark_config(seed: int, chain_length: int) -> StreamConfig:
@@ -178,7 +161,6 @@ def _benchmark_config(seed: int, chain_length: int) -> StreamConfig:
         prior_kind="uniform",
         schedule=TemperatureSchedule.default(2),
         chain_length=chain_length,
-        burn_in=100,
         seed=seed,
         label_correction=True,
     )
@@ -194,7 +176,7 @@ def _cmd_replicate(args) -> int:
         args.out, ["correct_k.csv", "replicate_stats.json", "regret.csv"], args.overwrite
     )
 
-    results = run_synthetic_repetitions(cfg, spec, reps, workers=args.workers)
+    results = run_synthetic_repetitions(cfg, spec, reps)
     counts = [correct_k_count(rec, stream.k_true) for stream, rec in results]
     post_counts = [
         int((updated_k_sequence(rec) == stream.k_true).sum()) for stream, rec in results
@@ -412,7 +394,6 @@ def build_parser() -> _Parser:
     rep.add_argument("--horizon", type=int, default=200)
     rep.add_argument("--chain-length", type=int, default=500)
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--workers", type=int, default=1)
     rep.add_argument("--regret-every", type=int, default=10,
                      help="step spacing of the regret summary rows")
     rep.add_argument("--ocl-restarts", type=int, default=50)

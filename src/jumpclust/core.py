@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Optional, Sequence, Union
 
@@ -23,6 +24,7 @@ __all__ = [
     "StepRecord",
     "RunRecord",
     "seeded_rng",
+    "clip_to_ball",
     "validate_observation",
     "load_config",
     "dump_config",
@@ -96,6 +98,20 @@ class Centers:
         return cls(np.asarray(list(rows), dtype=float))
 
 
+def clip_to_ball(points: np.ndarray, radius: float) -> np.ndarray:
+    """Radially project the rows of a (k, d) array that lie outside the ball
+    of the given radius onto its surface; an infinite radius returns the
+    input unchanged."""
+    if math.isinf(radius):
+        return points
+    pts = np.array(points, dtype=float)
+    norms = np.linalg.norm(pts, axis=1)
+    over = norms > radius
+    if over.any():
+        pts[over] *= (radius / norms[over])[:, None]
+    return pts
+
+
 def validate_observation(x, dim: int) -> np.ndarray:
     """Coerce one observation to a finite (dim,) float vector."""
     v = np.asarray(x, dtype=float).reshape(-1)
@@ -145,10 +161,6 @@ class StreamConfig:
         Inverse-temperature schedule, see :mod:`jumpclust.online`.
     chain_length
         Number of sampler iterations N per time step.
-    burn_in
-        Iterations discarded when summarizing chain diagnostics (the
-        returned state is always the N-th one, burn-in only affects
-        reported marginals).
     seed
         64-bit master seed; all randomness in a run derives from it.
     label_correction
@@ -166,7 +178,6 @@ class StreamConfig:
     prior_scale: float = 1.0
     schedule: object = None  # TemperatureSchedule; resolved in __post_init__
     chain_length: int = 500
-    burn_in: int = 100
     seed: int = 0
     kmeans: KMeansConfig = field(default_factory=KMeansConfig)
     label_correction: bool = False
@@ -188,8 +199,6 @@ class StreamConfig:
             raise ValueError("prior_scale must be > 0")
         if self.chain_length < 1:
             raise ValueError("chain_length must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
         if self.schedule is None:
             from .online import TemperatureSchedule
 
@@ -241,8 +250,6 @@ class StepRecord:
 
     ``trace`` (optional) holds the sampler trace of the chain run after
     observation t, i.e. the chain that produced the step-(t+1) prediction.
-    ``wall_time`` is an in-memory diagnostic and is never serialized, so
-    that output files stay bit-identical across replays.
     """
 
     t: int
@@ -251,7 +258,6 @@ class StepRecord:
     loss: float
     cum_loss: float
     trace: Optional[object] = None  # ChainTrace
-    wall_time: Optional[float] = None
 
     def to_json_dict(self, include_trace: bool = True) -> dict:
         out = {
@@ -387,6 +393,9 @@ def load_config(source) -> StreamConfig:
             raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
+    if "burn_in" in raw:  # accepted from older config files
+        del raw["burn_in"]
+        warnings.warn("config field 'burn_in' is no longer used and is ignored", stacklevel=2)
 
     known = {
         "dim",
@@ -397,7 +406,6 @@ def load_config(source) -> StreamConfig:
         "prior_scale",
         "schedule",
         "chain_length",
-        "burn_in",
         "seed",
         "kmeans",
         "label_correction",
@@ -424,7 +432,6 @@ def load_config(source) -> StreamConfig:
         "prior_kind": raw.get("prior_kind", "uniform"),
         "prior_scale": float(raw.get("prior_scale", 1.0)),
         "chain_length": int(raw.get("chain_length", 500)),
-        "burn_in": int(raw.get("burn_in", 100)),
         "seed": int(raw.get("seed", 0)),
         "label_correction": bool(raw.get("label_correction", False)),
     }
@@ -454,7 +461,6 @@ def dump_config(cfg: StreamConfig) -> dict:
             "radius": sched.radius,
         },
         "chain_length": cfg.chain_length,
-        "burn_in": cfg.burn_in,
         "seed": cfg.seed,
         "kmeans": asdict(cfg.kmeans),
         "label_correction": cfg.label_correction,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import KMeansConfig, RunRecord, seeded_rng
+from .core import KMeansConfig, RunRecord, clip_to_ball, seeded_rng
 from .proposals import kmeans_fit, within_cluster_loss
 
 __all__ = [
@@ -67,12 +67,7 @@ def ocl(
     if rng is None:
         rng = seeded_rng(0, (_OCL_STREAM, xs.shape[0], k_star))
     fit = kmeans_fit(xs, k_star, KMeansConfig(restarts=restarts, max_iter=max_iter), rng)
-    pts = np.array(fit.points)
-    norms = np.linalg.norm(pts, axis=1)
-    over = norms > radius
-    if over.any():
-        pts[over] *= (radius / norms[over])[:, None]
-    return within_cluster_loss(pts, xs)
+    return within_cluster_loss(clip_to_ball(fit.points, radius), xs)
 
 
 def ecl_curve(records: Sequence[RunRecord]) -> np.ndarray:

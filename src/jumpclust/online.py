@@ -10,9 +10,7 @@ chain ended in.
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
 
@@ -213,7 +211,6 @@ def run_stream(
     cfg: StreamConfig,
     rep: int = 0,
     trace_steps: TraceSteps = None,
-    record_timing: bool = False,
 ) -> RunRecord:
     """Run the online clustering loop over a stream of observations.
 
@@ -242,7 +239,6 @@ def run_stream(
                     stacklevel=2,
                 )
                 warned = True
-        started = time.perf_counter() if record_timing else None
 
         loss = instantaneous_loss(current, x)
         cum += loss
@@ -275,7 +271,6 @@ def run_stream(
                 loss=loss,
                 cum_loss=cum,
                 trace=trace if _want_trace(trace_steps, t) else None,
-                wall_time=(time.perf_counter() - started) if record_timing else None,
             )
         )
         current = final.centers
@@ -299,21 +294,9 @@ def run_synthetic(cfg: StreamConfig, spec, rep: int = 0, trace_steps: TraceSteps
     return stream, record
 
 
-def run_synthetic_repetitions(
-    cfg: StreamConfig, spec, reps: int, workers: int = 1, trace_steps: TraceSteps = None
-):
-    """Independent repetitions with per-repetition data and sampler streams.
-
-    Repetitions are embarrassingly parallel; results come back ordered by
-    repetition index regardless of worker scheduling.
-    """
+def run_synthetic_repetitions(cfg: StreamConfig, spec, reps: int, trace_steps: TraceSteps = None):
+    """Independent repetitions with per-repetition data and sampler streams,
+    run one after another and returned in repetition order."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if workers <= 1:
-        return [run_synthetic(cfg, spec, rep=r, trace_steps=trace_steps) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [
-            pool.submit(run_synthetic, cfg, spec, rep=r, trace_steps=trace_steps)
-            for r in range(reps)
-        ]
-        return [f.result() for f in futs]
+    return [run_synthetic(cfg, spec, rep=r, trace_steps=trace_steps) for r in range(reps)]

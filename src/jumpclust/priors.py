@@ -17,6 +17,7 @@ across different k enter the transdimensional acceptance probability.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -33,16 +34,24 @@ __all__ = [
     "TruncationEstimate",
     "estimate_truncation_prob",
     "PriorSpec",
-    "log_prior_uniform",
-    "log_prior_student",
     "log_prior",
     "log_prior_batch",
     "sample_prior",
     "student_block_log_norm",
+    "student_log_shape",
 ]
 
 _TRUNC_SAMPLES = 1_000_000
 _TRUNC_SEED = 20_170_301
+
+
+@functools.lru_cache(maxsize=None)
+def _log_q_table(p: int, eta: float) -> np.ndarray:
+    """Read-only log-masses of q(1..p), memoised per (p, eta)."""
+    ks = np.arange(1, p + 1, dtype=float)
+    logs = -eta * ks - logsumexp(-eta * ks)
+    logs.flags.writeable = False
+    return logs
 
 
 def log_q(k: int, p: int, eta: float) -> float:
@@ -51,15 +60,12 @@ def log_q(k: int, p: int, eta: float) -> float:
         raise ValueError(f"k={k} outside {{1..{p}}}")
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    ks = np.arange(1, p + 1, dtype=float)
-    return float(-eta * k - logsumexp(-eta * ks))
+    return float(_log_q_table(p, eta)[k - 1])
 
 
 def q_masses(p: int, eta: float) -> np.ndarray:
     """All p masses of q at once."""
-    ks = np.arange(1, p + 1, dtype=float)
-    logs = -eta * ks - logsumexp(-eta * ks)
-    return np.exp(logs)
+    return np.exp(_log_q_table(p, eta))
 
 
 def student_block_log_norm(dim: int, tau: float) -> float:
@@ -77,6 +83,20 @@ def student_block_log_norm(dim: int, tau: float) -> float:
         - (dim / 2) * math.log(6 * math.pi)
         - dim * math.log(tau)
     )
+
+
+def student_log_shape(sq_dist: np.ndarray, dim: int, tau: float) -> np.ndarray:
+    """Log of the block density's shape factor, summed over the last axis.
+
+    ``sq_dist`` holds |x - m|^2 per block; the result plus k times
+    :func:`student_block_log_norm` is the log-density of k blocks.
+    """
+    return -0.5 * (3 + dim) * np.log1p(sq_dist / (6.0 * tau**2)).sum(axis=-1)
+
+
+def _outside_support(sq_norms: np.ndarray, radius: float) -> np.ndarray:
+    """Which squared norms fall outside the ball of radius 2R (none when R is inf)."""
+    return sq_norms > (2.0 * radius) ** 2
 
 
 def sample_student_blocks(k: int, dim: int, tau: float, loc: np.ndarray | float, rng) -> np.ndarray:
@@ -121,14 +141,14 @@ def estimate_truncation_prob(
     if hit is not None:
         return hit
     rng = seeded_rng(seed, (dim, n_samples))
-    limit = 2.0 * radius
     inside = 0
     chunk = 200_000
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
         draws = sample_student_blocks(m, dim, scale, 0.0, rng)
-        inside += int(np.count_nonzero(np.einsum("ij,ij->i", draws, draws) <= limit * limit))
+        outside = _outside_support(np.einsum("ij,ij->i", draws, draws), radius)
+        inside += m - int(np.count_nonzero(outside))
         done += m
     prob = inside / n_samples
     stderr = math.sqrt(max(prob * (1.0 - prob), 1e-300) / n_samples)
@@ -190,71 +210,31 @@ class PriorSpec:
         return student_block_log_norm(self.dim, self.scale) - math.log(self.trunc.prob)
 
 
-def _support_radius_ok(points: np.ndarray, radius: float) -> bool:
-    if math.isinf(radius):
-        return True
-    norms2 = np.einsum("kd,kd->k", points, points)
-    return bool(np.all(norms2 <= (2.0 * radius) ** 2))
-
-
-def log_prior_uniform(c: Centers, radius: float) -> float:
-    """Exact log-density of k independent uniform-ball blocks (radius 2R)."""
-    if not radius > 0:
-        raise ValueError("radius must be > 0")
-    if not _support_radius_ok(c.points, radius):
-        return -math.inf
-    const = (
-        math.lgamma(c.dim / 2 + 1)
-        - (c.dim / 2) * math.log(math.pi)
-        - c.dim * math.log(2 * radius)
-    )
-    return c.k * const
-
-
-def log_prior_student(c: Centers, radius: float, scale: float, spec: PriorSpec | None = None) -> float:
-    """Exact log-density of k truncated heavy-tailed blocks.
-
-    The truncation constant is read from ``spec`` when given (cached
-    estimate), otherwise estimated on demand.
-    """
-    if spec is not None and (spec.kind != "student" or spec.radius != radius or spec.scale != scale):
-        raise ValueError("spec does not match the requested student prior parameters")
-    if not _support_radius_ok(c.points, radius):
-        return -math.inf
-    trunc = spec.trunc if spec is not None else estimate_truncation_prob(c.dim, radius, scale)
-    norms2 = np.einsum("kd,kd->k", c.points, c.points)
-    shape_term = -0.5 * (3 + c.dim) * np.log1p(norms2 / (6.0 * scale * scale)).sum()
-    return c.k * (student_block_log_norm(c.dim, scale) - math.log(trunc.prob)) + float(shape_term)
-
-
 def log_prior(c: Centers, spec: PriorSpec) -> float:
     """Mixture prior over (k, centers): log q(k) + per-k block density."""
     if c.dim != spec.dim:
         raise ValueError(f"center dimension {c.dim} != prior dimension {spec.dim}")
-    if c.k > spec.max_clusters:
-        raise ValueError(f"k={c.k} exceeds max_clusters={spec.max_clusters}")
-    lq = log_q(c.k, spec.max_clusters, spec.decay)
-    if spec.kind == "uniform":
-        return lq + log_prior_uniform(c, spec.radius)
-    return lq + log_prior_student(c, spec.radius, spec.scale, spec)
+    return float(log_prior_batch(c.points[None], spec)[0])
 
 
 def log_prior_batch(points: np.ndarray, spec: PriorSpec) -> np.ndarray:
-    """Vectorized ``log_prior`` over a (n, k, d) stack of same-k center vectors."""
+    """Exact log-prior of each center vector in a (n, k, d) stack of same-k vectors.
+
+    Evaluated as log q(k) + (k * block constant + shape term), -inf for
+    vectors with a center outside the ball of radius 2R.
+    """
     points = np.asarray(points, dtype=float)
     n, k, _ = points.shape
-    if k > spec.max_clusters:
-        raise ValueError(f"k={k} exceeds max_clusters={spec.max_clusters}")
-    out = np.full(n, log_q(k, spec.max_clusters, spec.decay))
+    lq = log_q(k, spec.max_clusters, spec.decay)
     norms2 = np.einsum("nkd,nkd->nk", points, points)
-    if not math.isinf(spec.radius):
-        outside = (norms2 > (2.0 * spec.radius) ** 2).any(axis=1)
-    else:
-        outside = np.zeros(n, dtype=bool)
-    out += k * spec.block_log_norm()
     if spec.kind == "student":
-        out += -0.5 * (3 + spec.dim) * np.log1p(norms2 / (6.0 * spec.scale**2)).sum(axis=1)
-    out[outside] = -math.inf
+        # in place, in the float order log q + (k * constant + shape) the sampler has always used
+        out = student_log_shape(norms2, spec.dim, spec.scale)
+        out += k * spec.block_log_norm()
+        out += lq
+    else:
+        out = np.full(n, lq + k * spec.block_log_norm())
+    out[_outside_support(norms2, spec.radius).any(axis=1)] = -math.inf
     return out
 
 
@@ -268,12 +248,11 @@ def sample_prior(spec: PriorSpec, rng) -> Centers:
         r = 2.0 * spec.radius * rng.random((k, 1)) ** (1.0 / spec.dim)
         return Centers(g * r)
     # student blocks: per-block rejection against the truncation ball
-    limit2 = (2.0 * spec.radius) ** 2
     rows = np.empty((k, spec.dim))
     filled = 0
     while filled < k:
         cand = sample_student_blocks(k - filled, spec.dim, spec.scale, 0.0, rng)
-        keep = np.einsum("ij,ij->i", cand, cand) <= limit2
+        keep = ~_outside_support(np.einsum("ij,ij->i", cand, cand), spec.radius)
         m = int(keep.sum())
         if m:
             rows[filled : filled + m] = cand[keep]

@@ -18,7 +18,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .core import Centers, KMeansConfig
-from .priors import sample_student_blocks, student_block_log_norm
+from .priors import sample_student_blocks, student_block_log_norm, student_log_shape
+from .scoring import nearest_sq_dist
 
 __all__ = [
     "ProposalParams",
@@ -72,8 +73,7 @@ def student_log_density(c, params: ProposalParams) -> float:
             f"center shape {pts.shape} != proposal locations shape {params.locations.shape}"
         )
     diff = pts - params.locations
-    norms2 = np.einsum("kd,kd->k", diff, diff)
-    shape_term = -0.5 * (3 + params.dim) * np.log1p(norms2 / (6.0 * params.tau**2)).sum()
+    shape_term = student_log_shape(np.einsum("kd,kd->k", diff, diff), params.dim, params.tau)
     return params.k * student_block_log_norm(params.dim, params.tau) + float(shape_term)
 
 
@@ -99,8 +99,7 @@ def within_cluster_loss(centers: np.ndarray, data: np.ndarray) -> float:
     """Sum over data points of squared distance to the nearest center."""
     if data.shape[0] == 0:
         return 0.0
-    d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-    return float(d2.min(axis=1).sum())
+    return float(nearest_sq_dist(centers, data).sum())
 
 
 def _plusplus_init(x: np.ndarray, k: int, restarts: int, rng) -> np.ndarray:
@@ -229,9 +228,7 @@ class StepProposals:
         prev = self._fits.get(k - 1)
         n = self.data.shape[0]
         if prev is not None and k <= n:
-            far = self.data[
-                ((self.data[:, None, :] - prev[None, :, :]) ** 2).sum(-1).min(1).argmax()
-            ]
+            far = self.data[nearest_sq_dist(prev, self.data).argmax()]
             extra = np.concatenate([prev, far.reshape(1, -1)])
         fit = kmeans_fit(
             self.data,

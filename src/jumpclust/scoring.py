@@ -27,6 +27,7 @@ import numpy as np
 from .core import Centers
 
 __all__ = [
+    "nearest_sq_dist",
     "instantaneous_loss",
     "ScoreContext",
     "score",
@@ -36,13 +37,18 @@ __all__ = [
 ]
 
 
+def nearest_sq_dist(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of xs (t, d) to its nearest row of points (k, d)."""
+    diff = xs[:, None, :] - points[None, :, :]
+    return np.einsum("tkd,tkd->tk", diff, diff).min(axis=1)
+
+
 def instantaneous_loss(c: Centers, x) -> float:
     """Squared euclidean distance from x to its nearest center in c."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != c.dim:
-        raise ValueError(f"observation dimension {x.shape[0]} != center dimension {c.dim}")
-    d2 = np.sum((c.points - x) ** 2, axis=1)
-    return float(d2.min())
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    if x.shape[1] != c.dim:
+        raise ValueError(f"observation dimension {x.shape[1]} != center dimension {c.dim}")
+    return float(nearest_sq_dist(c.points, x)[0])
 
 
 @dataclass(frozen=True)
@@ -91,12 +97,6 @@ class ScoreContext:
         )
 
 
-def _per_step_losses(c: Centers, ctx: ScoreContext) -> np.ndarray:
-    # (t, k) squared distances, min over centers
-    diff = ctx.observations[:, None, :] - c.points[None, :, :]
-    return np.einsum("tkd,tkd->tk", diff, diff).min(axis=1)
-
-
 def score(c: Centers, ctx: ScoreContext) -> float:
     """Batch evaluation of S_t(c); returns 0.0 for an empty context."""
     if ctx.t == 0:
@@ -105,7 +105,7 @@ def score(c: Centers, ctx: ScoreContext) -> float:
         raise ValueError(
             f"context dimension {ctx.observations.shape[1]} != center dimension {c.dim}"
         )
-    losses = _per_step_losses(c, ctx)
+    losses = nearest_sq_dist(c.points, ctx.observations)
     dev = losses - ctx.ref_losses
     return float(losses.sum() + 0.5 * np.dot(ctx.lam_prev, dev * dev))
 

@@ -30,6 +30,8 @@ from jumpclust.proposals import (
 )
 from jumpclust.scoring import ScoreAccumulator, ScoreContext, score
 
+pytestmark = pytest.mark.slow
+
 BENCH_REPS = 20
 BENCH_HORIZON = 200
 ACCURACY_WINDOW = (100.0, 140.0)

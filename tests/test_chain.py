@@ -7,13 +7,12 @@ from jumpclust.chain import (
     ChainState,
     ChainTrace,
     acceptance_log_prob,
-    clip_to_support,
     initial_state,
     propose_dimension,
     run_chain,
     step,
 )
-from jumpclust.core import Centers, KMeansConfig, seeded_rng
+from jumpclust.core import Centers, KMeansConfig, clip_to_ball, seeded_rng
 from jumpclust.posterior import TargetDensity, grid_oracle, log_target
 from jumpclust.priors import PriorSpec
 from jumpclust.proposals import ProposalParams, StepProposals, proposal_scale, student_log_density
@@ -215,14 +214,14 @@ class TestStepAndChain:
 class TestSupportProjection:
     def test_clip_scales_only_outside_rows(self):
         pts = np.array([[0.5, 0.0], [3.0, 4.0]])
-        out = clip_to_support(pts, 1.0)
+        out = clip_to_ball(pts, 2.0)
         np.testing.assert_array_equal(out[0], pts[0])
-        assert np.linalg.norm(out[1]) <= 2.0
-        assert np.linalg.norm(out[1]) == pytest.approx(2.0 - 1e-9, rel=1e-12)
+        assert np.linalg.norm(out[1]) == pytest.approx(2.0, rel=1e-12)
+        np.testing.assert_allclose(out[1] / np.linalg.norm(out[1]), [0.6, 0.8], rtol=1e-12)
 
     def test_infinite_radius_noop(self):
         pts = np.array([[1e6, 0.0]])
-        np.testing.assert_array_equal(clip_to_support(pts, math.inf), pts)
+        np.testing.assert_array_equal(clip_to_ball(pts, math.inf), pts)
 
     def test_initial_state_projected_when_radius_small(self):
         prior = PriorSpec(kind="uniform", dim=1, max_clusters=2, radius=0.1)
@@ -240,3 +239,5 @@ class TestSupportProjection:
         state = initial_state(1, tgt, props)
         assert math.isfinite(state.log_density)
         assert np.abs(state.centers.points).max() <= 0.2
+        # projected just inside the support ball of radius 2R
+        assert np.abs(state.centers.points).max() == pytest.approx(0.2 * (1 - 1e-9), rel=1e-12)

@@ -21,7 +21,6 @@ def small_config_path(tmp_path):
         "radius": 12.0,
         "schedule": {"kind": "default"},
         "chain_length": 30,
-        "burn_in": 5,
         "seed": 17,
     }
     path = tmp_path / "cfg.json"

@@ -118,7 +118,8 @@ class TestConfigFile:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        cfg = load_config(path)
+        with pytest.warns(UserWarning, match="burn_in"):
+            cfg = load_config(path)
         assert cfg.max_clusters == 7
         assert cfg.schedule.kind == "anytime"
         assert cfg.schedule.radius == 4.5  # resolved from the config
@@ -165,17 +166,3 @@ class TestRunRecord:
         assert back.final_centers == rec.final_centers
         # serializing again reproduces the exact same bytes
         assert back.to_json_lines() == lines
-
-    def test_wall_time_never_serialized(self):
-        rec = self._record()
-        timed = RunRecord(
-            seed=rec.seed,
-            rep=rec.rep,
-            dim=rec.dim,
-            steps=tuple(
-                StepRecord(s.t, s.k, s.centers, s.loss, s.cum_loss, wall_time=0.123)
-                for s in rec.steps
-            ),
-            final_centers=rec.final_centers,
-        )
-        assert timed.to_json_lines() == rec.to_json_lines()

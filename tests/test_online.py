@@ -82,7 +82,6 @@ def small_config(**over):
         max_clusters=4,
         radius=12.0,
         chain_length=40,
-        burn_in=5,
         seed=11,
     )
     kw.update(over)
@@ -172,9 +171,10 @@ class TestRepetitions:
     def test_results_ordered_and_deterministic(self):
         cfg = small_config(chain_length=25)
         spec = SyntheticSpec(kind="sine_drift", horizon=6)
-        serial = run_synthetic_repetitions(cfg, spec, reps=3, workers=1)
-        threaded = run_synthetic_repetitions(cfg, spec, reps=3, workers=3)
-        for (s1, r1), (s2, r2) in zip(serial, threaded):
+        first = run_synthetic_repetitions(cfg, spec, reps=3)
+        second = run_synthetic_repetitions(cfg, spec, reps=3)
+        assert [r.rep for _, r in first] == [0, 1, 2]
+        for (s1, r1), (s2, r2) in zip(first, second):
             np.testing.assert_array_equal(s1.xs, s2.xs)
             assert r1.to_json_lines() == r2.to_json_lines()
 

@@ -10,8 +10,6 @@ from jumpclust.priors import (
     estimate_truncation_prob,
     log_prior,
     log_prior_batch,
-    log_prior_student,
-    log_prior_uniform,
     log_q,
     q_masses,
     sample_prior,
@@ -52,28 +50,35 @@ class TestClusterCountPrior:
             assert masses[k - 1] == pytest.approx(math.exp(log_q(k, 6, 0.4)), rel=1e-12)
 
 
+def single_block_spec(kind, dim=1, radius=1.0, **kw):
+    """Prior with max_clusters=1, where log q(1) = 0 and log_prior is the block density."""
+    return PriorSpec(kind=kind, dim=dim, max_clusters=1, radius=radius, **kw)
+
+
 class TestUniformBallPrior:
     def test_interval_density_d1(self):
         # single center on [-2, 2]: density 1/4
         c = Centers([[0.0]])
-        assert log_prior_uniform(c, 1.0) == pytest.approx(math.log(0.25), rel=1e-14)
+        assert log_prior(c, single_block_spec("uniform")) == pytest.approx(math.log(0.25), rel=1e-14)
 
     def test_outside_support(self):
-        assert log_prior_uniform(Centers([[3.0]]), 1.0) == -math.inf
+        assert log_prior(Centers([[3.0]]), single_block_spec("uniform")) == -math.inf
 
     def test_d1_normalization_by_quadrature(self):
-        val, err = integrate.quad(lambda x: math.exp(log_prior_uniform(Centers([[x]]), 1.0)), -2, 2)
+        spec = single_block_spec("uniform")
+        val, err = integrate.quad(lambda x: math.exp(log_prior(Centers([[x]]), spec)), -2, 2)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_d2_k2_normalization_by_monte_carlo(self):
         # sample the box [-2R, 2R]^4 and average the density times box volume
         radius = 1.5
+        spec = PriorSpec(kind="uniform", dim=2, max_clusters=2, radius=radius)
         rng = seeded_rng(77, 0)
         n = 200_000
         pts = rng.uniform(-2 * radius, 2 * radius, size=(n, 2, 2))
         norms2 = np.einsum("nkd,nkd->nk", pts, pts)
         inside = (norms2 <= (2 * radius) ** 2).all(axis=1)
-        const = math.exp(log_prior_uniform(Centers([[0.0, 0.0], [0.0, 0.0]]), radius))
+        const = math.exp(log_prior(Centers([[0.0, 0.0], [0.0, 0.0]]), spec) - log_q(2, 2, 0.0))
         box_vol = (4 * radius) ** 4
         est = const * box_vol * inside.mean()
         stderr = const * box_vol * inside.std() / math.sqrt(n)
@@ -83,19 +88,20 @@ class TestUniformBallPrior:
 class TestStudentPrior:
     def test_mode_density_untruncated_d1(self):
         # d=1, scale 1, no truncation: mode density 2/(pi*sqrt(6))
-        c = Centers([[0.0]])
-        got = log_prior_student(c, math.inf, 1.0)
+        spec = single_block_spec("student", radius=math.inf, scale=1.0)
+        got = log_prior(Centers([[0.0]]), spec)
         assert got == pytest.approx(math.log(2 / (math.pi * math.sqrt(6))), rel=1e-12)
 
     def test_outside_truncation(self):
-        assert log_prior_student(Centers([[2.0 + 1e-9]]), 1.0, 1.0) == -math.inf
+        spec = single_block_spec("student", scale=1.0)
+        assert log_prior(Centers([[2.0 + 1e-9]]), spec) == -math.inf
 
     def test_d1_normalization_by_quadrature(self):
         radius, scale = 1.0, 0.8
-        spec = PriorSpec(kind="student", dim=1, max_clusters=1, radius=radius, scale=scale)
+        spec = single_block_spec("student", radius=radius, scale=scale)
 
         def dens(x):
-            return math.exp(log_prior_student(Centers([[x]]), radius, scale, spec))
+            return math.exp(log_prior(Centers([[x]]), spec))
 
         val, err = integrate.quad(dens, -2 * radius, 2 * radius, limit=200)
         # budget: quadrature error plus 3x the recorded truncation MC error
@@ -142,13 +148,31 @@ class TestMixturePrior:
         assert one == pytest.approx(math.exp(log_q(1, 2, 0.5)), abs=1e-6)
         assert two == pytest.approx(math.exp(log_q(2, 2, 0.5)), abs=1e-6)
 
-    def test_batch_matches_scalar(self):
-        spec = self._spec(dim=2, max_clusters=3, radius=2.0, decay=0.2, kind="student")
-        rng = seeded_rng(5, 0)
-        stack = rng.uniform(-4.5, 4.5, size=(64, 2, 2))
-        batch = log_prior_batch(stack, spec)
-        for i in range(0, 64, 5):
-            assert batch[i] == pytest.approx(log_prior(Centers(stack[i]), spec), rel=1e-12)
+    def test_batch_matches_scipy(self):
+        dim, radius, decay, scale = 2, 2.0, 0.2, 0.9
+        ks = np.arange(1, 4)
+        for kind in ("uniform", "student"):
+            spec = self._spec(kind=kind, dim=dim, max_clusters=3, radius=radius, decay=decay,
+                              scale=scale)
+            for k in ks:
+                stack = seeded_rng(5, int(k)).uniform(-4.5, 4.5, size=(64, k, dim))
+                outside = (np.linalg.norm(stack, axis=2) > 2 * radius).any(axis=1)
+                assert outside.any() and not outside.all()
+                log_q_ref = -decay * k - math.log(np.exp(-decay * ks).sum())
+                if kind == "student":
+                    block = stats.multivariate_t(
+                        loc=np.zeros(dim), shape=2 * scale**2 * np.eye(dim), df=3
+                    )
+                    rows = block.logpdf(stack.reshape(-1, dim)).reshape(64, k)
+                    blocks = rows - math.log(spec.trunc.prob)
+                else:
+                    ball_volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * (2 * radius) ** dim
+                    blocks = np.full((64, k), -math.log(ball_volume))
+                got = log_prior_batch(stack, spec)
+                assert np.array_equal(got == -math.inf, outside)
+                np.testing.assert_allclose(
+                    got[~outside], log_q_ref + blocks[~outside].sum(axis=1), rtol=1e-12
+                )
 
 
 class TestSamplePrior:
