@@ -12,7 +12,8 @@ the acceptance probability reduces to
                      + [log q_prop(c | k) - log q_prop(c' | k')])
 
 computed entirely in log space.  Within-model moves (k'=k) use the same
-formula.
+formula.  Each state carries both of its log-densities, so a move evaluates
+them for the candidate only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .core import Centers, clip_to_ball
 from .posterior import TargetDensity, log_target
-from .proposals import StepProposals, student_log_density, student_sample
+from .proposals import ProposalParams, StepProposals, student_log_density, student_sample
 
 __all__ = [
     "ChainState",
@@ -39,11 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainState:
-    """Current state of the chain plus its cached log-target value."""
+    """A center vector with its log-target and its proposal log-density.
+
+    ``log_proposal`` is the density of the step's k-block proposal at
+    ``centers``; both values are computed once, when the state is built.
+    """
 
     centers: Centers
     log_density: float
-    n: int = 0
+    log_proposal: float
 
     @property
     def k(self) -> int:
@@ -92,14 +97,7 @@ def propose_dimension(k: int, p: int, rng) -> int:
     return cand if 1 <= cand <= p else k
 
 
-def acceptance_log_prob(
-    current: ChainState,
-    candidate: Centers,
-    candidate_log_density: float,
-    tgt: TargetDensity,
-    params_current,
-    params_candidate,
-) -> float:
+def acceptance_log_prob(current: ChainState, candidate: ChainState) -> float:
     """log of the move's acceptance probability (always <= 0).
 
     The dimension-proposal ratio is identically 1 under the symmetric
@@ -107,33 +105,29 @@ def acceptance_log_prob(
     """
     if not math.isfinite(current.log_density):
         raise ValueError("current chain state lies outside the target support")
-    if candidate_log_density == -math.inf:
+    if candidate.log_density == -math.inf:
         return -math.inf
     delta = (
-        candidate_log_density
+        candidate.log_density
         - current.log_density
-        + student_log_density(current.centers, params_current)
-        - student_log_density(candidate, params_candidate)
+        + current.log_proposal
+        - candidate.log_proposal
     )
     return min(0.0, delta)
+
+
+def _state(centers: Centers, tgt: TargetDensity, params: ProposalParams) -> ChainState:
+    return ChainState(centers, log_target(centers, tgt), student_log_density(centers, params))
 
 
 def step(state: ChainState, tgt: TargetDensity, proposals: StepProposals, rng):
     """One Metropolis-Hastings move.  Returns (new_state, (k', alpha, accepted))."""
     k_prop = propose_dimension(state.k, proposals.max_clusters, rng)
-    params_prop = proposals.params(k_prop)
-    candidate = student_sample(params_prop, rng)
-    cand_log_density = log_target(candidate, tgt)
-    la = acceptance_log_prob(
-        state, candidate, cand_log_density, tgt, proposals.params(state.k), params_prop
-    )
-    alpha = math.exp(la)
+    params = proposals.params(k_prop)
+    candidate = _state(student_sample(params, rng), tgt, params)
+    alpha = math.exp(acceptance_log_prob(state, candidate))
     accepted = rng.random() < alpha
-    if accepted:
-        new_state = ChainState(candidate, cand_log_density, state.n + 1)
-    else:
-        new_state = ChainState(state.centers, state.log_density, state.n + 1)
-    return new_state, (k_prop, alpha, accepted)
+    return (candidate if accepted else state), (k_prop, alpha, accepted)
 
 
 def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: StepProposals, rng):
@@ -161,7 +155,7 @@ def initial_state(k0: int, tgt: TargetDensity, proposals: StepProposals) -> Chai
     """Warm-started state: the k0-means locations, projected just inside the
     support ball of radius 2R."""
     centers = Centers(clip_to_ball(proposals.locations(k0), 2.0 * tgt.prior.radius * (1 - 1e-9)))
-    ld = log_target(centers, tgt)
-    if not math.isfinite(ld):
+    state = _state(centers, tgt, proposals.params(k0))
+    if not math.isfinite(state.log_density):
         raise ValueError("warm-start state has zero target density")
-    return ChainState(centers, ld, 0)
+    return state

@@ -218,14 +218,13 @@ class StreamHistory:
 
     Holds the revealed observations x_{1:t}, the realized per-step losses of
     the outputs that were used at each step, and the inverse temperatures
-    that weight each step's variance term.  The full center history is not
-    needed for scoring (only its per-step losses are), but the outputs are
-    retained for run records.
+    that weight each step's variance term.  The outputs themselves are not
+    needed for scoring (only their per-step losses are); run records keep
+    them in their steps.
     """
 
     dim: int
     observations: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)  # Centers; one more than observations
     output_losses: list = field(default_factory=list)
     lambdas: list = field(default_factory=list)  # lambda_0 .. lambda_{t-1}
 

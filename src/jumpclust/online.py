@@ -222,7 +222,6 @@ def run_stream(
     prior = PriorSpec.from_config(cfg)
     current = sample_prior(prior, seeded_rng(cfg.seed, (_INIT_STREAM, rep)))
     history = StreamHistory(cfg.dim)
-    history.outputs.append(current)
     jitter_scale = cfg.radius if math.isfinite(cfg.radius) else cfg.prior_scale
     weights = variance_weight_schedule(cfg)
     steps = []
@@ -251,7 +250,7 @@ def run_stream(
             label_weighted=cfg.label_correction,
         )
         proposals = StepProposals(
-            history.observation_matrix(),
+            tgt.ctx.observations,
             tau=proposal_scale(cfg.max_clusters, t + 1),
             max_clusters=cfg.max_clusters,
             kmeans_cfg=cfg.kmeans,
@@ -274,7 +273,6 @@ def run_stream(
             )
         )
         current = final.centers
-        history.outputs.append(current)
 
     return RunRecord(
         seed=cfg.seed, rep=rep, dim=cfg.dim, steps=tuple(steps), final_centers=current

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MAX_GRID_CELLS = 10**7
+# cells evaluated per batch, which bounds the oracle's (cells, t, k, d) distance array
+_CELL_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -152,14 +154,20 @@ def grid_oracle(tgt: TargetDensity, resolution: int, max_cells: int = MAX_GRID_C
     log_block_vols = np.log(block_vols)
     slice_logs = {}
     for k in range(1, spec.max_clusters + 1):
-        idx = np.indices((b,) * k).reshape(k, -1).T  # (b^k, k)
-        pts = block_pts[idx]  # (b^k, k, d)
-        logdens = log_prior_batch(pts, spec)
-        if tgt.lam > 0.0 and tgt.ctx.t > 0:
-            logdens = logdens - tgt.lam * score_batch(pts, tgt.ctx)
-        if tgt.label_weighted:
-            logdens = logdens + math.lgamma(k + 1)
-        slice_logs[k] = logdens + log_block_vols[idx].sum(axis=1)
+        n = b**k
+        logs = np.empty(n)
+        for start in range(0, n, _CELL_CHUNK):
+            stop = min(start + _CELL_CHUNK, n)
+            cells = np.unravel_index(np.arange(start, stop), (b,) * k)
+            idx = np.stack(cells, axis=1)  # (cells, k)
+            pts = block_pts[idx]  # (cells, k, d)
+            logdens = log_prior_batch(pts, spec)
+            if tgt.lam > 0.0 and tgt.ctx.t > 0:
+                logdens = logdens - tgt.lam * score_batch(pts, tgt.ctx)
+            if tgt.label_weighted:
+                logdens = logdens + math.lgamma(k + 1)
+            logs[start:stop] = logdens + log_block_vols[idx].sum(axis=1)
+        slice_logs[k] = logs
 
     peak = max(float(v.max()) for v in slice_logs.values())
     unnorm = {k: np.exp(v - peak) for k, v in slice_logs.items()}

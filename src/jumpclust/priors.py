@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,10 +115,7 @@ class TruncationEstimate:
     seed: int
 
 
-_trunc_cache: dict = {}
-_trunc_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def estimate_truncation_prob(
     dim: int,
     radius: float,
@@ -129,17 +125,11 @@ def estimate_truncation_prob(
 ) -> TruncationEstimate:
     """P(|X|_2 <= 2*radius) for one untruncated block, by seeded Monte Carlo.
 
-    Estimates are cached per (dim, radius, scale, n_samples, seed); the
-    recorded standard error lets callers budget the residual bias when
-    checking normalizations.
+    Estimates are memoised per argument tuple; the recorded standard error
+    lets callers budget the residual bias when checking normalizations.
     """
     if math.isinf(radius):
         return TruncationEstimate(1.0, 0.0, 0, seed)
-    key = (dim, float(radius), float(scale), n_samples, seed)
-    with _trunc_lock:
-        hit = _trunc_cache.get(key)
-    if hit is not None:
-        return hit
     rng = seeded_rng(seed, (dim, n_samples))
     inside = 0
     chunk = 200_000
@@ -152,10 +142,7 @@ def estimate_truncation_prob(
         done += m
     prob = inside / n_samples
     stderr = math.sqrt(max(prob * (1.0 - prob), 1e-300) / n_samples)
-    est = TruncationEstimate(prob, stderr, n_samples, seed)
-    with _trunc_lock:
-        _trunc_cache[key] = est
-    return est
+    return TruncationEstimate(prob, stderr, n_samples, seed)
 
 
 @dataclass(frozen=True)

@@ -220,16 +220,15 @@ class StepProposals:
         self.kmeans_cfg = kmeans_cfg
         self._rng_for_k = rng_for_k
         self._jitter = 1e-6 * jitter_scale
-        self._fits: Dict[int, np.ndarray] = {}
-        self._losses: Dict[int, float] = {}
+        self._params: Dict[int, ProposalParams] = {}
 
     def _fit(self, k: int) -> None:
         extra = None
-        prev = self._fits.get(k - 1)
+        prev = self._params.get(k - 1)
         n = self.data.shape[0]
         if prev is not None and k <= n:
-            far = self.data[nearest_sq_dist(prev, self.data).argmax()]
-            extra = np.concatenate([prev, far.reshape(1, -1)])
+            far = self.data[nearest_sq_dist(prev.locations, self.data).argmax()]
+            extra = np.concatenate([prev.locations, far.reshape(1, -1)])
         fit = kmeans_fit(
             self.data,
             k,
@@ -238,20 +237,19 @@ class StepProposals:
             extra_init=extra,
             pad_jitter=self._jitter,
         )
-        self._fits[k] = fit.points
-        self._losses[k] = within_cluster_loss(fit.points, self.data)
+        self._params[k] = ProposalParams(fit.points, self.tau)
 
-    def locations(self, k: int) -> np.ndarray:
+    def params(self, k: int) -> ProposalParams:
+        """The step's k-block proposal, fitted on first use and then reused."""
         if not 1 <= k <= self.max_clusters:
             raise ValueError(f"k={k} outside {{1..{self.max_clusters}}}")
         for kk in range(1, k + 1):
-            if kk not in self._fits:
+            if kk not in self._params:
                 self._fit(kk)
-        return self._fits[k]
+        return self._params[k]
+
+    def locations(self, k: int) -> np.ndarray:
+        return self.params(k).locations
 
     def fitted_loss(self, k: int) -> float:
-        self.locations(k)
-        return self._losses[k]
-
-    def params(self, k: int) -> ProposalParams:
-        return ProposalParams(self.locations(k), self.tau)
+        return within_cluster_loss(self.locations(k), self.data)

@@ -32,15 +32,18 @@ __all__ = [
     "ScoreContext",
     "score",
     "ScoreAccumulator",
-    "losses_to_points",
     "score_batch",
 ]
 
 
 def nearest_sq_dist(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Squared distance from each row of xs (t, d) to its nearest row of points (k, d)."""
-    diff = xs[:, None, :] - points[None, :, :]
-    return np.einsum("tkd,tkd->tk", diff, diff).min(axis=1)
+    """Squared distance from each row of xs (t, d) to its nearest row of points.
+
+    ``points`` is one (k, d) center vector or a (n, k, d) stack of them;
+    the result is (t,) or (n, t) accordingly.
+    """
+    diff = xs[:, None, :] - points[..., None, :, :]
+    return np.einsum("...tkd,...tkd->...tk", diff, diff).min(axis=-1)
 
 
 def instantaneous_loss(c: Centers, x) -> float:
@@ -105,9 +108,7 @@ def score(c: Centers, ctx: ScoreContext) -> float:
         raise ValueError(
             f"context dimension {ctx.observations.shape[1]} != center dimension {c.dim}"
         )
-    losses = nearest_sq_dist(c.points, ctx.observations)
-    dev = losses - ctx.ref_losses
-    return float(losses.sum() + 0.5 * np.dot(ctx.lam_prev, dev * dev))
+    return float(score_batch(c.points[None], ctx)[0])
 
 
 class ScoreAccumulator:
@@ -142,27 +143,12 @@ class ScoreAccumulator:
         return self._total
 
 
-def losses_to_points(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Per-observation loss for a batch of center vectors.
-
-    points: (n, k, d) stack of center vectors; xs: (t, d) observations.
-    Returns (n, t) losses.  Used by the grid oracle, where n is large.
-    """
-    points = np.asarray(points, dtype=float)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    n, k, d = points.shape
-    out = np.empty((n, xs.shape[0]))
-    for s in range(xs.shape[0]):
-        diff = points - xs[s]
-        out[:, s] = np.einsum("nkd,nkd->nk", diff, diff).min(axis=1)
-    return out
-
-
 def score_batch(points: np.ndarray, ctx: ScoreContext) -> np.ndarray:
     """Vectorized S_t over a (n, k, d) stack of center vectors."""
     points = np.asarray(points, dtype=float)
     if ctx.t == 0:
         return np.zeros(points.shape[0])
-    losses = losses_to_points(points, ctx.observations)
+    losses = nearest_sq_dist(points, ctx.observations)
     dev = losses - ctx.ref_losses
-    return losses.sum(axis=1) + 0.5 * (dev * dev) @ ctx.lam_prev
+    # one (1, t) @ (t,) product per row: a row's value does not depend on n
+    return losses.sum(axis=1) + 0.5 * ((dev * dev)[:, None, :] @ ctx.lam_prev)[:, 0]

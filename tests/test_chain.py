@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -12,10 +13,18 @@ from jumpclust.chain import (
     run_chain,
     step,
 )
-from jumpclust.core import Centers, KMeansConfig, clip_to_ball, seeded_rng
+from jumpclust.core import Centers, KMeansConfig, StreamConfig, clip_to_ball, seeded_rng
+from jumpclust.datagen import SyntheticSpec, generate
+from jumpclust.online import lambda_at, variance_weight_schedule
 from jumpclust.posterior import TargetDensity, grid_oracle, log_target
 from jumpclust.priors import PriorSpec
-from jumpclust.proposals import ProposalParams, StepProposals, proposal_scale, student_log_density
+from jumpclust.proposals import (
+    ProposalParams,
+    StepProposals,
+    proposal_scale,
+    student_log_density,
+    student_sample,
+)
 from jumpclust.scoring import ScoreContext
 
 
@@ -64,33 +73,32 @@ class TestProposeDimension:
         assert all(propose_dimension(1, 1, rng) == 1 for _ in range(100))
 
 
+def chain_state(c, tgt, params):
+    return ChainState(c, log_target(c, tgt), student_log_density(c, params))
+
+
 class TestAcceptance:
     def test_identical_proposal_accepted_surely(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(2, tgt, props)
-        la = acceptance_log_prob(
-            state, state.centers, state.log_density, tgt, props.params(2), props.params(2)
-        )
-        assert la == 0.0
+        assert acceptance_log_prob(state, state) == 0.0
 
     def test_outside_support_never_accepted(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(1, tgt, props)
-        bad = Centers([[2.5]])
-        la = acceptance_log_prob(
-            state, bad, log_target(bad, tgt), tgt, props.params(1), props.params(1)
-        )
-        assert la == -math.inf
+        bad = chain_state(Centers([[2.5]]), tgt, props.params(1))
+        assert acceptance_log_prob(state, bad) == -math.inf
 
     def test_current_state_must_be_in_support(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
-        dead = ChainState(Centers([[2.5]]), -math.inf)
-        good = Centers([[0.0]])
+        dead = chain_state(Centers([[2.5]]), tgt, props.params(1))
+        good = chain_state(Centers([[0.0]]), tgt, props.params(1))
+        assert dead.log_density == -math.inf
         with pytest.raises(ValueError):
-            acceptance_log_prob(dead, good, log_target(good, tgt), tgt, props.params(1), props.params(1))
+            acceptance_log_prob(dead, good)
 
     def test_detailed_balance_identity(self):
         # balance of the within-model ratio: for in-support states a, b,
@@ -104,10 +112,10 @@ class TestAcceptance:
             params = props.params(k)
             a = Centers(rng.uniform(-2, 2, size=(k, 1)))
             b = Centers(rng.uniform(-2, 2, size=(k, 1)))
-            sa = ChainState(a, log_target(a, tgt))
-            sb = ChainState(b, log_target(b, tgt))
-            lab = acceptance_log_prob(sa, b, sb.log_density, tgt, params, params)
-            lba = acceptance_log_prob(sb, a, sa.log_density, tgt, params, params)
+            sa = chain_state(a, tgt, params)
+            sb = chain_state(b, tgt, params)
+            lab = acceptance_log_prob(sa, sb)
+            lba = acceptance_log_prob(sb, sa)
             lhs = lab + sa.log_density + student_log_density(b, params)
             rhs = lba + sb.log_density + student_log_density(a, params)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
@@ -121,8 +129,7 @@ class TestAcceptance:
         params = props.params(2)
         a = Centers([[-0.8], [0.9]])
         b = Centers([[-0.6], [1.0]])
-        sa = ChainState(a, log_target(a, tgt))
-        la = acceptance_log_prob(sa, b, log_target(b, tgt), tgt, params, params)
+        la = acceptance_log_prob(chain_state(a, tgt, params), chain_state(b, tgt, params))
         dens_ratio = log_target(b, tgt) - log_target(a, tgt)
         prop_ratio = student_log_density(a, params) - student_log_density(b, params)
         assert la == pytest.approx(min(0.0, dens_ratio + prop_ratio), abs=1e-12)
@@ -152,7 +159,7 @@ class TestStepAndChain:
         assert len(trace) == 300
         assert np.all((trace.alpha >= 0) & (trace.alpha <= 1))
         assert np.all((trace.k_current >= 1) & (trace.k_current <= 3))
-        assert final.n == 300
+        assert final.k == trace.k_current[-1]
 
     def test_single_step_chain_equals_step(self):
         tgt = toy_target()
@@ -209,6 +216,70 @@ class TestStepAndChain:
         oracle = grid_oracle(tgt, resolution=150)
         tv = 0.5 * np.abs(empirical - oracle.k_marginal()).sum()
         assert tv <= 0.05
+
+
+def sine_drift_step(t=40, p=20):
+    """Target and proposals of step t of a sine_drift stream at reference
+    settings (p clusters, R=15, label correction on), built as run_stream does."""
+    cfg = StreamConfig(dim=2, max_clusters=p, radius=15.0, label_correction=True)
+    xs = generate(SyntheticSpec(kind="sine_drift", horizon=t), seeded_rng(7, 0)).xs
+    weights = variance_weight_schedule(cfg)
+    ctx = ScoreContext(
+        xs,
+        np.einsum("td,td->t", xs, xs),  # losses of a single center at the origin
+        np.array([lambda_at(weights, max(s, 1)) for s in range(t)]),
+    )
+    tgt = TargetDensity(
+        lambda_at(cfg.schedule, t), ctx, PriorSpec.from_config(cfg), label_weighted=True
+    )
+    props = StepProposals(
+        xs,
+        tau=proposal_scale(p, t + 1),
+        max_clusters=p,
+        kmeans_cfg=cfg.kmeans,
+        rng_for_k=lambda k: seeded_rng(7, (3, t, k)),
+        jitter_scale=cfg.radius,
+    )
+    return tgt, props
+
+
+class TestCachedProposalDensity:
+    """The state's cached densities and every alpha equal fresh evaluations."""
+
+    @pytest.mark.parametrize("case", ["toy", "sine_drift"])
+    def test_cache_matches_fresh_evaluation(self, case):
+        if case == "toy":
+            tgt = toy_target()
+            props = toy_proposals(tgt)
+            state = initial_state(1, tgt, props)
+        else:
+            tgt, props = sine_drift_step()
+            state = initial_state(3, tgt, props)
+        rng = seeded_rng(63, 0)
+        accepted_moves = 0
+        for _ in range(400):
+            fresh = ProposalParams(props.locations(state.k), props.tau)
+            assert state.log_proposal == student_log_density(state.centers, fresh)
+            assert state.log_density == log_target(state.centers, tgt)
+            # replay the move's draws to rebuild its candidate from scratch
+            replay = copy.deepcopy(rng)
+            k_cand = propose_dimension(state.k, props.max_clusters, replay)
+            cand_params = ProposalParams(props.locations(k_cand), props.tau)
+            cand = student_sample(cand_params, replay)
+            # the kernel's sum, in its order
+            log_alpha = (
+                log_target(cand, tgt)
+                - log_target(state.centers, tgt)
+                + student_log_density(state.centers, fresh)
+                - student_log_density(cand, cand_params)
+            )
+            state, (k_prop, alpha, accepted) = step(state, tgt, props, rng)
+            assert k_prop == k_cand
+            assert alpha == math.exp(min(0.0, log_alpha))
+            accepted_moves += accepted
+        assert 0 < accepted_moves < 400
+        fresh = ProposalParams(props.locations(state.k), props.tau)
+        assert state.log_proposal == student_log_density(state.centers, fresh)
 
 
 class TestSupportProjection:

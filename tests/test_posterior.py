@@ -5,13 +5,14 @@ import pytest
 
 from jumpclust.core import Centers, seeded_rng
 from jumpclust.posterior import (
+    _CELL_CHUNK,
     GridTooLargeError,
     TargetDensity,
     grid_oracle,
     log_target,
 )
-from jumpclust.priors import PriorSpec, log_prior, q_masses
-from jumpclust.scoring import ScoreContext, score
+from jumpclust.priors import PriorSpec, log_prior, log_prior_batch, q_masses
+from jumpclust.scoring import ScoreContext, score, score_batch
 
 
 def toy_context(dim=1):
@@ -127,3 +128,28 @@ class TestGridOracle:
         tgt = TargetDensity(3.0, ctx, prior)
         oracle = grid_oracle(tgt, resolution=150)
         assert oracle.k_marginal()[2] > 1 / 3
+
+    def test_chunked_slices_match_unchunked_reference(self):
+        # the k=3 slice spans more than one evaluation chunk
+        tgt = toy_target()
+        resolution = 45
+        assert resolution**3 > _CELL_CHUNK
+        oracle = grid_oracle(tgt, resolution=resolution)
+        edges = np.linspace(-2.0, 2.0, resolution + 1)
+        mids = (0.5 * (edges[:-1] + edges[1:])).reshape(-1, 1)
+        log_vols = np.log(np.diff(edges))
+        logs = {}
+        for k in (1, 2, 3):
+            idx = np.indices((resolution,) * k).reshape(k, -1).T
+            pts = mids[idx]
+            logs[k] = (
+                log_prior_batch(pts, tgt.prior)
+                - tgt.lam * score_batch(pts, tgt.ctx)
+                + log_vols[idx].sum(axis=1)
+            )
+        peak = max(v.max() for v in logs.values())
+        z = sum(np.exp(v - peak).sum() for v in logs.values())
+        for k in (1, 2, 3):
+            np.testing.assert_allclose(
+                oracle.cell_masses[k], np.exp(logs[k] - peak) / z, rtol=1e-12, atol=0
+            )

@@ -99,8 +99,8 @@ class TestScore:
         ctx = random_context(rng, 8, 2)
         stack = rng.standard_normal((40, 3, 2))
         batch = score_batch(stack, ctx)
-        for i in range(0, 40, 7):
-            assert batch[i] == pytest.approx(score(Centers(stack[i]), ctx), rel=1e-12)
+        for i in range(40):
+            assert batch[i] == score(Centers(stack[i]), ctx)
 
 
 class TestScoreAccumulator:
