@@ -13,7 +13,8 @@ the acceptance probability reduces to
 
 computed entirely in log space.  Within-model moves (k'=k) use the same
 formula.  Each state carries both of its log-densities, so a move evaluates
-them for the candidate only.
+them for the candidate only, on the raw draw: a state's coordinates become
+a validated :class:`Centers` only when ``ChainState.centers`` is read.
 """
 
 from __future__ import annotations
@@ -38,21 +39,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainState:
     """A center vector with its log-target and its proposal log-density.
 
+    ``points`` is the read-only (k, d) array of coordinates;
     ``log_proposal`` is the density of the step's k-block proposal at
-    ``centers``; both values are computed once, when the state is built.
+    ``points``; both values are computed once, when the state is built.
     """
 
-    centers: Centers
+    points: np.ndarray
     log_density: float
     log_proposal: float
 
     @property
     def k(self) -> int:
-        return self.centers.k
+        return self.points.shape[0]
+
+    @property
+    def centers(self) -> Centers:
+        """The coordinates as a validated :class:`Centers` (a fresh copy per read)."""
+        return Centers(self.points)
+
+    def __eq__(self, other) -> bool:
+        """Value equality, so that replayed chains compare equal."""
+        return (
+            isinstance(other, ChainState)
+            and np.array_equal(self.points, other.points)
+            and (self.log_density, self.log_proposal) == (other.log_density, other.log_proposal)
+        )
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -116,8 +133,12 @@ def acceptance_log_prob(current: ChainState, candidate: ChainState) -> float:
     return min(0.0, delta)
 
 
-def _state(centers: Centers, tgt: TargetDensity, params: ProposalParams) -> ChainState:
-    return ChainState(centers, log_target(centers, tgt), student_log_density(centers, params))
+def _state(points: np.ndarray, tgt: TargetDensity, params: ProposalParams) -> ChainState:
+    """The state at a (k, d) array, which is made read-only."""
+    if not np.isfinite(points).all():
+        raise ValueError("centers must have finite coordinates")
+    points.flags.writeable = False
+    return ChainState(points, log_target(points, tgt), student_log_density(points, params))
 
 
 def step(state: ChainState, tgt: TargetDensity, proposals: StepProposals, rng):
@@ -154,8 +175,8 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
 def initial_state(k0: int, tgt: TargetDensity, proposals: StepProposals) -> ChainState:
     """Warm-started state: the k0-means locations, projected just inside the
     support ball of radius 2R."""
-    centers = Centers(clip_to_ball(proposals.locations(k0), 2.0 * tgt.prior.radius * (1 - 1e-9)))
-    state = _state(centers, tgt, proposals.params(k0))
+    points = np.array(clip_to_ball(proposals.locations(k0), 2.0 * tgt.prior.radius * (1 - 1e-9)))
+    state = _state(points, tgt, proposals.params(k0))
     if not math.isfinite(state.log_density):
         raise ValueError("warm-start state has zero target density")
     return state

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,28 @@ class TargetDensity:
         return cls(0.0, ScoreContext.empty(prior.dim), prior)
 
 
-def log_target(c: Centers, tgt: TargetDensity) -> float:
-    """Unnormalized log-density of the target at c; -inf outside the prior support."""
+class _Coordinates(NamedTuple):
+    """A (k, d) array read as a center vector without the checks
+    :class:`Centers` runs; the sampler passes finite, read-only draws."""
+
+    points: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+
+def log_target(c, tgt: TargetDensity) -> float:
+    """Unnormalized log-density of the target at c; -inf outside the prior support.
+
+    ``c`` is a :class:`Centers` or a (k, d) array of center coordinates.
+    """
+    if not isinstance(c, Centers):
+        c = _Coordinates(c)
     lp = log_prior(c, tgt.prior)
     if lp == -math.inf:
         return -math.inf

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -156,6 +156,8 @@ class PriorSpec:
     decay: float = 0.0
     scale: float = 1.0  # student only
     trunc: Optional[TruncationEstimate] = None
+    # per k in 1..p: (log q(k), k * block_log_norm()), the constants every evaluation adds
+    k_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("uniform", "student"):
@@ -174,6 +176,9 @@ class PriorSpec:
             object.__setattr__(
                 self, "trunc", estimate_truncation_prob(self.dim, self.radius, self.scale)
             )
+        block = self.block_log_norm()
+        log_qs = enumerate(_log_q_table(self.max_clusters, self.decay), start=1)
+        object.__setattr__(self, "k_terms", tuple((float(lq), k * block) for k, lq in log_qs))
 
     @classmethod
     def from_config(cls, cfg) -> "PriorSpec":
@@ -212,15 +217,17 @@ def log_prior_batch(points: np.ndarray, spec: PriorSpec) -> np.ndarray:
     """
     points = np.asarray(points, dtype=float)
     n, k, _ = points.shape
-    lq = log_q(k, spec.max_clusters, spec.decay)
+    if not 1 <= k <= spec.max_clusters:
+        raise ValueError(f"k={k} outside {{1..{spec.max_clusters}}}")
+    lq, k_block = spec.k_terms[k - 1]
     norms2 = np.einsum("nkd,nkd->nk", points, points)
     if spec.kind == "student":
         # in place, in the float order log q + (k * constant + shape) the sampler has always used
         out = student_log_shape(norms2, spec.dim, spec.scale)
-        out += k * spec.block_log_norm()
+        out += k_block
         out += lq
     else:
-        out = np.full(n, lq + k * spec.block_log_norm())
+        out = np.full(n, lq + k_block)
     out[_outside_support(norms2, spec.radius).any(axis=1)] = -math.inf
     return out
 

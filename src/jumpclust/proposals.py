@@ -12,7 +12,7 @@ dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -38,6 +38,7 @@ class ProposalParams:
 
     locations: np.ndarray  # (k, d)
     tau: float
+    log_norm: float = field(init=False)  # k * student_block_log_norm(d, tau), all k blocks
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
@@ -46,6 +47,8 @@ class ProposalParams:
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
         object.__setattr__(self, "locations", loc)
+        k, dim = loc.shape
+        object.__setattr__(self, "log_norm", k * student_block_log_norm(dim, self.tau))
 
     @property
     def k(self) -> int:
@@ -74,14 +77,12 @@ def student_log_density(c, params: ProposalParams) -> float:
         )
     diff = pts - params.locations
     shape_term = student_log_shape(np.einsum("kd,kd->k", diff, diff), params.dim, params.tau)
-    return params.k * student_block_log_norm(params.dim, params.tau) + float(shape_term)
+    return params.log_norm + float(shape_term)
 
 
-def student_sample(params: ProposalParams, rng) -> Centers:
-    """Independent draw of all k blocks of the proposal."""
-    return Centers(
-        sample_student_blocks(params.k, params.dim, params.tau, params.locations, rng)
-    )
+def student_sample(params: ProposalParams, rng) -> np.ndarray:
+    """Independent draw of all k blocks of the proposal, as a (k, d) array."""
+    return sample_student_blocks(params.k, params.dim, params.tau, params.locations, rng)
 
 
 def proposal_scale(p: int, t: int) -> float:
@@ -99,7 +100,7 @@ def within_cluster_loss(centers: np.ndarray, data: np.ndarray) -> float:
     """Sum over data points of squared distance to the nearest center."""
     if data.shape[0] == 0:
         return 0.0
-    return float(nearest_sq_dist(centers, data).sum())
+    return float(nearest_sq_dist(centers, data.T).sum())
 
 
 def _plusplus_init(x: np.ndarray, k: int, restarts: int, rng) -> np.ndarray:
@@ -147,8 +148,7 @@ def _lloyd(
         if done.all():
             break
         prev = loss
-    losses = np.array([within_cluster_loss(centers[r], x) for r in range(restarts)])
-    return centers, losses
+    return centers, nearest_sq_dist(centers, x.T).sum(axis=1)
 
 
 def kmeans_fit(
@@ -227,7 +227,7 @@ class StepProposals:
         prev = self._params.get(k - 1)
         n = self.data.shape[0]
         if prev is not None and k <= n:
-            far = self.data[nearest_sq_dist(prev.locations, self.data).argmax()]
+            far = self.data[nearest_sq_dist(prev.locations, self.data.T).argmax()]
             extra = np.concatenate([prev.locations, far.reshape(1, -1)])
         fit = kmeans_fit(
             self.data,
@@ -241,6 +241,9 @@ class StepProposals:
 
     def params(self, k: int) -> ProposalParams:
         """The step's k-block proposal, fitted on first use and then reused."""
+        params = self._params.get(k)
+        if params is not None:
+            return params
         if not 1 <= k <= self.max_clusters:
             raise ValueError(f"k={k} outside {{1..{self.max_clusters}}}")
         for kk in range(1, k + 1):

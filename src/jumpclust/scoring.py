@@ -20,7 +20,7 @@ non-convex loss.  S_0 = 0 identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,14 +36,17 @@ __all__ = [
 ]
 
 
-def nearest_sq_dist(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Squared distance from each row of xs (t, d) to its nearest row of points.
+def nearest_sq_dist(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
+    """Squared distance from each column of xs_t (d, t) to its nearest row of points.
 
     ``points`` is one (k, d) center vector or a (n, k, d) stack of them;
-    the result is (t,) or (n, t) accordingly.
+    the result is (t,) or (n, t) accordingly.  The observations come
+    coordinate-major so that the sum over d and the min over k both run
+    over contiguous length-t rows.
     """
-    diff = xs[:, None, :] - points[..., None, :, :]
-    return np.einsum("...tkd,...tkd->...tk", diff, diff).min(axis=-1)
+    diff = points[..., :, :, None] - xs_t  # (..., k, d, t)
+    diff *= diff
+    return diff.sum(axis=-2).min(axis=-2)
 
 
 def instantaneous_loss(c: Centers, x) -> float:
@@ -51,7 +54,7 @@ def instantaneous_loss(c: Centers, x) -> float:
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != c.dim:
         raise ValueError(f"observation dimension {x.shape[1]} != center dimension {c.dim}")
-    return float(nearest_sq_dist(c.points, x)[0])
+    return float(nearest_sq_dist(c.points, x.T)[0])
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,14 @@ class ScoreContext:
     ref_losses:   (t,) realized loss of the prediction used at each step.
     lam_prev:     (t,) inverse temperature weighting each step's variance
                   term (entry s holds lambda_{s-1}).
+    observations_t: C-contiguous (d, t) copy of the observations, built
+                  once for :func:`nearest_sq_dist`.
     """
 
     observations: np.ndarray
     ref_losses: np.ndarray
     lam_prev: np.ndarray
+    observations_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obs = np.atleast_2d(np.asarray(self.observations, dtype=float))
@@ -80,6 +86,7 @@ class ScoreContext:
                 f"{ref.shape[0]} reference losses, {lam.shape[0]} lambdas"
             )
         object.__setattr__(self, "observations", obs)
+        object.__setattr__(self, "observations_t", np.ascontiguousarray(obs.T))
         object.__setattr__(self, "ref_losses", ref)
         object.__setattr__(self, "lam_prev", lam)
 
@@ -148,7 +155,7 @@ def score_batch(points: np.ndarray, ctx: ScoreContext) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if ctx.t == 0:
         return np.zeros(points.shape[0])
-    losses = nearest_sq_dist(points, ctx.observations)
+    losses = nearest_sq_dist(points, ctx.observations_t)
     dev = losses - ctx.ref_losses
     # one (1, t) @ (t,) product per row: a row's value does not depend on n
     return losses.sum(axis=1) + 0.5 * ((dev * dev)[:, None, :] @ ctx.lam_prev)[:, 0]

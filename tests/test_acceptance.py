@@ -189,8 +189,8 @@ class TestCriterion4DetailedBalance:
             params = props.params(k)
             a = Centers(rng.uniform(-2, 2, size=(k, 1)))
             b = Centers(rng.uniform(-2, 2, size=(k, 1)))
-            sa = ChainState(a, log_target(a, tgt), student_log_density(a, params))
-            sb = ChainState(b, log_target(b, tgt), student_log_density(b, params))
+            sa = ChainState(a.points, log_target(a, tgt), student_log_density(a, params))
+            sb = ChainState(b.points, log_target(b, tgt), student_log_density(b, params))
             lab = acceptance_log_prob(sa, sb)
             lba = acceptance_log_prob(sb, sa)
             # balance is checked with proposal densities evaluated apart from the states' own

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from jumpclust import chain
 from jumpclust.chain import (
     ChainState,
     ChainTrace,
@@ -74,7 +75,7 @@ class TestProposeDimension:
 
 
 def chain_state(c, tgt, params):
-    return ChainState(c, log_target(c, tgt), student_log_density(c, params))
+    return ChainState(c.points, log_target(c, tgt), student_log_density(c, params))
 
 
 class TestAcceptance:
@@ -146,10 +147,27 @@ class TestStepAndChain:
             new, (_, _, accepted) = step(state, tgt, props, rng)
             if not accepted:
                 saw_rejection = True
-                assert new.centers is state.centers
-                assert new.log_density == state.log_density
+                assert new is state
             state = new
         assert saw_rejection
+
+    def test_non_finite_draw_rejected(self, monkeypatch):
+        tgt = toy_target()
+        props = toy_proposals(tgt)
+        state = initial_state(1, tgt, props)
+        monkeypatch.setattr(chain, "student_sample", lambda params, rng: np.full((params.k, 1), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            step(state, tgt, props, seeded_rng(55, 1))
+
+    def test_state_points_read_only(self):
+        tgt = toy_target()
+        props = toy_proposals(tgt)
+        state = initial_state(2, tgt, props)
+        rng = seeded_rng(55, 2)
+        for _ in range(20):
+            state, _ = step(state, tgt, props, rng)
+            assert not state.points.flags.writeable
+            assert state.centers == Centers(state.points)
 
     def test_trace_contract(self):
         tgt = toy_target()
@@ -176,6 +194,7 @@ class TestStepAndChain:
         f1, t1 = run_chain(state, 200, tgt, props, seeded_rng(58, 0))
         f2, t2 = run_chain(state, 200, tgt, props, seeded_rng(58, 0))
         assert f1.centers == f2.centers
+        assert f1 == f2 and f1 is not f2
         np.testing.assert_array_equal(t1.alpha, t2.alpha)
         np.testing.assert_array_equal(t1.k_current, t2.k_current)
 

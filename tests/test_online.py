@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -192,3 +193,40 @@ class TestRepetitions:
         (s0, r0) = run_synthetic_repetitions(cfg, spec, reps=1)[0]
         np.testing.assert_array_equal(stream.xs, s0.xs)
         assert rec.to_json_lines() == r0.to_json_lines()
+
+
+SINE_DRIFT_SHA1 = "3e98e20efd99516d6c40cc6fc6566e2484bcc4b0"
+MIXTURE_SHA1 = "8a76407bd6d060cff40a724c8c21408b2b295918"
+
+
+class TestGoldenRecords:
+    """The records.jsonl bytes of two short streams, traces included.
+
+    The hashes were recorded before the sampler move was streamlined
+    (raw-array candidates, per-step density constants, coordinate-major
+    nearest-centre kernel); any change to a draw, a density or a sum order
+    in d=2 changes them.
+    """
+
+    @staticmethod
+    def sha1(record) -> str:
+        return hashlib.sha1(("\n".join(record.to_json_lines()) + "\n").encode()).hexdigest()
+
+    def test_sine_drift_uniform_prior(self):
+        cfg = StreamConfig(
+            dim=2, max_clusters=8, radius=15.0, chain_length=100, seed=7, label_correction=True
+        )
+        xs = generate(SyntheticSpec(kind="sine_drift", horizon=15), seeded_rng(7, 0)).xs
+        rec = run_stream(xs, cfg, trace_steps="all")
+        assert self.sha1(rec) == SINE_DRIFT_SHA1
+
+    def test_gaussian_mixture_student_prior(self):
+        cfg = StreamConfig(
+            dim=2, max_clusters=8, radius=15.0, prior_kind="student", prior_scale=5.0,
+            chain_length=100, seed=7, label_correction=True,
+        )
+        spec = SyntheticSpec(
+            kind="gaussian_mixture", horizon=15, centers=((6.0, 0.0), (-6.0, 0.0), (0.0, 6.0))
+        )
+        rec = run_stream(generate(spec, seeded_rng(7, 1)).xs, cfg, trace_steps="all")
+        assert self.sha1(rec) == MIXTURE_SHA1

@@ -56,6 +56,20 @@ class TestLogTarget:
         )
         assert direct == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("label_weighted", [False, True])
+    def test_centers_and_points_agree(self, label_weighted):
+        tgt = toy_target(dim=2)
+        tgt = TargetDensity(tgt.lam, tgt.ctx, tgt.prior, label_weighted=label_weighted)
+        rng = seeded_rng(14, 0)
+        for k in (1, 2, 3):
+            for _ in range(20):
+                c = Centers(rng.uniform(-2.5, 2.5, size=(k, 2)))
+                assert log_target(c, tgt) == log_target(c.points, tgt)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            log_target(np.zeros((1, 2)), toy_target(dim=1))
+
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             TargetDensity(-0.1, toy_context(), toy_target().prior)

@@ -75,7 +75,7 @@ class TestStudentSampler:
     def test_empirical_mean(self):
         params = ProposalParams(np.zeros((1, 1)), tau=1.0)
         rng = seeded_rng(23, 0)
-        draws = np.array([student_sample(params, rng).points[0, 0] for _ in range(100_000)])
+        draws = np.array([student_sample(params, rng)[0, 0] for _ in range(100_000)])
         assert abs(draws.mean()) <= 0.02
 
     def test_cdf_against_analytic(self):
@@ -83,7 +83,7 @@ class TestStudentSampler:
         tau = 0.9
         params = ProposalParams(np.array([[0.5]]), tau=tau)
         rng = seeded_rng(24, 0)
-        draws = np.array([student_sample(params, rng).points[0, 0] for _ in range(100_000)])
+        draws = np.array([student_sample(params, rng)[0, 0] for _ in range(100_000)])
         z = (draws - 0.5) / (math.sqrt(2) * tau)
         for q in (0.5, 1.0, 2.0):
             emp = (z <= q).mean()
@@ -92,7 +92,7 @@ class TestStudentSampler:
     def test_kolmogorov_smirnov_sampler_density_consistency(self):
         params = ProposalParams(np.zeros((1, 1)), tau=1.3)
         rng = seeded_rng(25, 0)
-        draws = np.array([student_sample(params, rng).points[0, 0] for _ in range(100_000)])
+        draws = np.array([student_sample(params, rng)[0, 0] for _ in range(100_000)])
         ks = stats.kstest(draws / (math.sqrt(2) * 1.3), lambda x: stats.t.cdf(x, df=3))
         assert ks.statistic <= 0.01
 
@@ -100,8 +100,8 @@ class TestStudentSampler:
         rng1, rng2 = seeded_rng(26, 0), seeded_rng(26, 0)
         big = ProposalParams(np.zeros((1, 1)), tau=1.0)
         small = ProposalParams(np.zeros((1, 1)), tau=0.1)
-        a = np.array([student_sample(big, rng1).points[0, 0] for _ in range(20_000)])
-        b = np.array([student_sample(small, rng2).points[0, 0] for _ in range(20_000)])
+        a = np.array([student_sample(big, rng1)[0, 0] for _ in range(20_000)])
+        b = np.array([student_sample(small, rng2)[0, 0] for _ in range(20_000)])
         iqr = lambda v: np.subtract(*np.percentile(v, [75, 25]))
         assert iqr(b) == pytest.approx(iqr(a) / 10, rel=1e-9)
 
@@ -109,7 +109,7 @@ class TestStudentSampler:
         params = ProposalParams(np.array([[0.0, 0.0], [5.0, 5.0]]), tau=0.5)
         rng = seeded_rng(27, 0)
         c = student_sample(params, rng)
-        assert c.k == 2 and c.dim == 2
+        assert c.shape == (2, 2)
 
 
 class TestProposalScale:

@@ -8,6 +8,7 @@ from jumpclust.scoring import (
     ScoreAccumulator,
     ScoreContext,
     instantaneous_loss,
+    nearest_sq_dist,
     score,
     score_batch,
 )
@@ -15,6 +16,38 @@ from jumpclust.scoring import (
 
 def brute_force_loss(points, x):
     return min(sum((p - xi) ** 2 for p, xi in zip(row, x)) for row in points)
+
+
+class TestNearestSqDist:
+    """The coordinate-major kernel against the (t, k, d) einsum it replaced."""
+
+    @staticmethod
+    def einsum_reference(points, xs):
+        diff = xs[:, None, :] - points[..., None, :, :]
+        return np.einsum("...tkd,...tkd->...tk", diff, diff).min(axis=-1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_matches_einsum_reference(self, dim):
+        rng = seeded_rng(15, dim)
+        for t, k in ((1, 1), (7, 3), (40, 6), (200, 20)):
+            xs = rng.uniform(-15, 15, size=(t, dim))
+            for points in (rng.uniform(-30, 30, size=(k, dim)), rng.uniform(-30, 30, size=(5, k, dim))):
+                fast = nearest_sq_dist(points, np.ascontiguousarray(xs.T))
+                ref = self.einsum_reference(points, xs)
+                assert fast.shape == ref.shape
+                if dim <= 2:
+                    # one or two terms per sum: both orders round identically
+                    np.testing.assert_array_equal(fast, ref)
+                else:
+                    np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=0)
+
+    def test_accepts_strided_observations(self):
+        rng = seeded_rng(16, 0)
+        xs = rng.standard_normal((30, 2))
+        points = rng.standard_normal((4, 2))
+        np.testing.assert_array_equal(
+            nearest_sq_dist(points, xs.T), nearest_sq_dist(points, np.ascontiguousarray(xs.T))
+        )
 
 
 class TestInstantaneousLoss:
