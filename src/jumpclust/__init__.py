@@ -15,7 +15,6 @@ from .core import (
     RunRecord,
     StepRecord,
     StreamConfig,
-    StreamHistory,
     dump_config,
     load_config,
     seeded_rng,

@@ -175,8 +175,9 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
 def initial_state(k0: int, tgt: TargetDensity, proposals: StepProposals) -> ChainState:
     """Warm-started state: the k0-means locations, projected just inside the
     support ball of radius 2R."""
-    points = np.array(clip_to_ball(proposals.locations(k0), 2.0 * tgt.prior.radius * (1 - 1e-9)))
-    state = _state(points, tgt, proposals.params(k0))
+    params = proposals.params(k0)
+    points = np.array(clip_to_ball(params.locations, 2.0 * tgt.prior.radius * (1 - 1e-9)))
+    state = _state(points, tgt, params)
     if not math.isfinite(state.log_density):
         raise ValueError("warm-start state has zero target density")
     return state

@@ -41,6 +41,7 @@ from .metrics import (
     updated_k_sequence,
 )
 from .online import TemperatureSchedule, lambda_at, run_stream, run_synthetic_repetitions
+from .online import _CHAIN_STREAM, _DATA_STREAM, _KMEANS_STREAM
 from .posterior import GridTooLargeError, TargetDensity, grid_oracle
 from .priors import PriorSpec
 from .proposals import StepProposals, proposal_scale
@@ -93,7 +94,8 @@ def _load_stream(args):
             header = next(reader)
             cols = {name: i for i, name in enumerate(header)}
             xcols = sorted(
-                (name for name in cols if name.startswith("x")), key=lambda s: int(s[1:])
+                (name for name in cols if name[:1] == "x" and name[1:].isdecimal()),
+                key=lambda s: int(s[1:]),
             )
             if not xcols:
                 raise CliError(f"no coordinate columns (x1, x2, ...) in {args.data}")
@@ -104,7 +106,7 @@ def _load_stream(args):
                     ks.append(int(row[cols["k_true"]]))
             return np.asarray(xs), (np.asarray(ks, dtype=int) if ks else None)
     spec = SyntheticSpec(kind=args.synthetic, horizon=args.horizon)
-    stream = generate(spec, seeded_rng(args.data_seed, (4, 0)))
+    stream = generate(spec, seeded_rng(args.data_seed, (_DATA_STREAM, 0)))
     return stream.xs, stream.k_true
 
 
@@ -297,7 +299,7 @@ def _missing(flag: str):
 
 def _cmd_generate(args) -> int:
     spec = SyntheticSpec(kind=args.model, horizon=args.horizon)
-    stream = generate(spec, seeded_rng(args.seed, (4, 0)))
+    stream = generate(spec, seeded_rng(args.seed, (_DATA_STREAM, 0)))
     header = ["t"] + [f"x{i+1}" for i in range(stream.dim)]
     if stream.k_true is not None:
         header.append("k_true")
@@ -345,6 +347,9 @@ def _cmd_oracle_check(args) -> int:
     if args.max_clusters > 3 or args.dim > 2:
         print("oracle-check is limited to dim <= 2 and max-clusters <= 3", file=sys.stderr)
         return _USAGE_EXIT
+    if args.iters < 1 or not 0 <= args.burn_in < args.iters:
+        print("oracle-check needs --iters >= 1 and 0 <= --burn-in < --iters", file=sys.stderr)
+        return _USAGE_EXIT
     tgt = _toy_target(args)
     t_obs = tgt.ctx.t
     proposals = StepProposals(
@@ -352,11 +357,12 @@ def _cmd_oracle_check(args) -> int:
         tau=proposal_scale(args.max_clusters, t_obs + 1 if t_obs else 0),
         max_clusters=args.max_clusters,
         kmeans_cfg=KMeansConfig(),
-        rng_for_k=lambda k: seeded_rng(args.seed, (3, 0, k)),
+        rng_for_k=lambda k: seeded_rng(args.seed, (_KMEANS_STREAM, 0, k)),
         jitter_scale=args.radius,
     )
     state0 = initial_state(1, tgt, proposals)
-    _, trace = run_chain(state0, args.iters, tgt, proposals, seeded_rng(args.seed, (2, 0)))
+    chain_rng = seeded_rng(args.seed, (_CHAIN_STREAM, 0))
+    _, trace = run_chain(state0, args.iters, tgt, proposals, chain_rng)
     ks = trace.k_current[args.burn_in :]
     empirical = np.bincount(ks, minlength=args.max_clusters + 1)[1:] / ks.shape[0]
 

@@ -20,7 +20,6 @@ __all__ = [
     "Centers",
     "KMeansConfig",
     "StreamConfig",
-    "StreamHistory",
     "StepRecord",
     "RunRecord",
     "seeded_rng",
@@ -210,37 +209,6 @@ class StreamConfig:
                 "the default schedule needs a finite radius (its score variance "
                 "weights are radius-aware); choose another schedule for radius=inf"
             )
-
-
-@dataclass
-class StreamHistory:
-    """Everything needed to evaluate the cumulative score at arbitrary centers.
-
-    Holds the revealed observations x_{1:t}, the realized per-step losses of
-    the outputs that were used at each step, and the inverse temperatures
-    that weight each step's variance term.  The outputs themselves are not
-    needed for scoring (only their per-step losses are); run records keep
-    them in their steps.
-    """
-
-    dim: int
-    observations: list = field(default_factory=list)
-    output_losses: list = field(default_factory=list)
-    lambdas: list = field(default_factory=list)  # lambda_0 .. lambda_{t-1}
-
-    @property
-    def t(self) -> int:
-        return len(self.observations)
-
-    def append_step(self, x: np.ndarray, loss: float, lam_prev: float) -> None:
-        self.observations.append(np.asarray(x, dtype=float))
-        self.output_losses.append(float(loss))
-        self.lambdas.append(float(lam_prev))
-
-    def observation_matrix(self) -> np.ndarray:
-        if not self.observations:
-            return np.zeros((0, self.dim))
-        return np.asarray(self.observations, dtype=float)
 
 
 @dataclass(frozen=True)

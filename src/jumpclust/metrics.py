@@ -67,7 +67,7 @@ def ocl(
     if rng is None:
         rng = seeded_rng(0, (_OCL_STREAM, xs.shape[0], k_star))
     fit = kmeans_fit(xs, k_star, KMeansConfig(restarts=restarts, max_iter=max_iter), rng)
-    return within_cluster_loss(clip_to_ball(fit.points, radius), xs)
+    return within_cluster_loss(clip_to_ball(fit, radius), xs)
 
 
 def ecl_curve(records: Sequence[RunRecord]) -> np.ndarray:

@@ -21,7 +21,6 @@ from .core import (
     RunRecord,
     StepRecord,
     StreamConfig,
-    StreamHistory,
     seeded_rng,
     validate_observation,
 )
@@ -221,7 +220,7 @@ def run_stream(
     """
     prior = PriorSpec.from_config(cfg)
     current = sample_prior(prior, seeded_rng(cfg.seed, (_INIT_STREAM, rep)))
-    history = StreamHistory(cfg.dim)
+    observations, ref_losses, lam_prev = [], [], []  # x_s, realized loss, variance weight
     jitter_scale = cfg.radius if math.isfinite(cfg.radius) else cfg.prior_scale
     weights = variance_weight_schedule(cfg)
     steps = []
@@ -241,11 +240,13 @@ def run_stream(
 
         loss = instantaneous_loss(current, x)
         cum += loss
-        history.append_step(x, loss, _variance_weight(cfg, weights, t - 1))
+        observations.append(x)
+        ref_losses.append(loss)
+        lam_prev.append(_variance_weight(cfg, weights, t - 1))
 
         tgt = TargetDensity(
             lambda_at(cfg.schedule, t),
-            ScoreContext.from_history(history),
+            ScoreContext(observations, ref_losses, lam_prev),
             prior,
             label_weighted=cfg.label_correction,
         )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Centers, KMeansConfig
 from .priors import sample_student_blocks, student_block_log_norm, student_log_shape
-from .scoring import nearest_sq_dist
+from .scoring import nearest_sq_dist, sq_dists
 
 __all__ = [
     "ProposalParams",
@@ -103,12 +103,12 @@ def within_cluster_loss(centers: np.ndarray, data: np.ndarray) -> float:
     return float(nearest_sq_dist(centers, data.T).sum())
 
 
-def _plusplus_init(x: np.ndarray, k: int, restarts: int, rng) -> np.ndarray:
+def _plusplus_init(x: np.ndarray, xt: np.ndarray, k: int, restarts: int, rng) -> np.ndarray:
     """k-means++ seeding, vectorized across restarts. Returns (restarts, k, d)."""
     n = x.shape[0]
     centers = np.empty((restarts, k, x.shape[1]))
     centers[:, 0] = x[rng.integers(0, n, size=restarts)]
-    d2 = ((x[None, :, :] - centers[:, 0, None, :]) ** 2).sum(-1)  # (restarts, n)
+    d2 = sq_dists(centers[:, :1], xt)[:, 0]  # (restarts, n)
     for j in range(1, k):
         totals = d2.sum(axis=1, keepdims=True)
         probs = np.where(totals > 0, d2 / np.where(totals > 0, totals, 1.0), 1.0 / n)
@@ -116,12 +116,12 @@ def _plusplus_init(x: np.ndarray, k: int, restarts: int, rng) -> np.ndarray:
         u = rng.random((restarts, 1))
         idx = (cum >= u).argmax(axis=1)
         centers[:, j] = x[idx]
-        d2 = np.minimum(d2, ((x[None, :, :] - centers[:, j, None, :]) ** 2).sum(-1))
+        d2 = np.minimum(d2, sq_dists(centers[:, j : j + 1], xt)[:, 0])
     return centers
 
 
 def _lloyd(
-    x: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
+    x: np.ndarray, xt: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations on a (restarts, k, d) stack; empty clusters are
     reseeded to each restart's farthest point.  Returns (centers, losses)."""
@@ -129,9 +129,9 @@ def _lloyd(
     prev = np.full(restarts, np.inf)
     eye = np.eye(k, dtype=bool)
     for _ in range(max_iter):
-        d2 = ((x[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(-1)  # (r, n, k)
-        labels = d2.argmin(axis=2)
-        point_loss = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
+        d2 = sq_dists(centers, xt)  # (r, k, n)
+        labels = d2.argmin(axis=1)
+        point_loss = d2.min(axis=1)
         loss = point_loss.sum(axis=1)
         onehot = eye[labels]  # (r, n, k)
         counts = onehot.sum(axis=1)  # (r, k)
@@ -148,7 +148,7 @@ def _lloyd(
         if done.all():
             break
         prev = loss
-    return centers, nearest_sq_dist(centers, x.T).sum(axis=1)
+    return centers, nearest_sq_dist(centers, xt).sum(axis=1)
 
 
 def kmeans_fit(
@@ -158,8 +158,9 @@ def kmeans_fit(
     rng=None,
     extra_init: Optional[np.ndarray] = None,
     pad_jitter: float = 1e-6,
-) -> Centers:
-    """Best-of-restarts Lloyd fit with k-means++ seeding.
+) -> np.ndarray:
+    """Best-of-restarts Lloyd fit with k-means++ seeding: a read-only (k, d)
+    array of centers.
 
     Degenerate inputs are padded rather than rejected: with fewer distinct
     points than k (including no points at all) the centers are the points
@@ -168,6 +169,8 @@ def kmeans_fit(
     inherit the best (k-1)-fit plus a split, which makes the fitted loss
     non-increasing in k).
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if rng is None:
         rng = np.random.default_rng(0)
     x = np.asarray(data, dtype=float)
@@ -175,20 +178,24 @@ def kmeans_fit(
         x = x.reshape(-1, 1)
     if x.ndim != 2:
         raise ValueError("data must be a (n, d) array")
+    if not np.isfinite(x).all():
+        raise ValueError("data must have finite coordinates")
     n = x.shape[0]
     if n == 0:
-        return Centers(pad_jitter * rng.standard_normal((k, x.shape[1])))
-    if n < k:
+        fit = pad_jitter * rng.standard_normal((k, x.shape[1]))
+    elif n < k:
         pad = x[rng.integers(0, n, size=k - n)]
-        pts = np.concatenate([x, pad + pad_jitter * rng.standard_normal(pad.shape)])
-        return Centers(pts)
-
-    inits = _plusplus_init(x, k, cfg.restarts, rng)
-    if extra_init is not None:
-        extra = np.asarray(extra_init, dtype=float).reshape(1, k, x.shape[1])
-        inits = np.concatenate([inits, extra], axis=0)
-    centers, losses = _lloyd(x, inits, cfg.max_iter, cfg.tol)
-    return Centers(centers[int(losses.argmin())])
+        fit = np.concatenate([x, pad + pad_jitter * rng.standard_normal(pad.shape)])
+    else:
+        xt = np.ascontiguousarray(x.T)
+        inits = _plusplus_init(x, xt, k, cfg.restarts, rng)
+        if extra_init is not None:
+            extra = np.asarray(extra_init, dtype=float).reshape(1, k, x.shape[1])
+            inits = np.concatenate([inits, extra], axis=0)
+        centers, losses = _lloyd(x, xt, inits, cfg.max_iter, cfg.tol)
+        fit = centers[int(losses.argmin())].copy()
+    fit.flags.writeable = False
+    return fit
 
 
 # --- per-step cache --------------------------------------------------------
@@ -237,7 +244,7 @@ class StepProposals:
             extra_init=extra,
             pad_jitter=self._jitter,
         )
-        self._params[k] = ProposalParams(fit.points, self.tau)
+        self._params[k] = ProposalParams(fit, self.tau)
 
     def params(self, k: int) -> ProposalParams:
         """The step's k-block proposal, fitted on first use and then reused."""
@@ -250,9 +257,3 @@ class StepProposals:
             if kk not in self._params:
                 self._fit(kk)
         return self._params[k]
-
-    def locations(self, k: int) -> np.ndarray:
-        return self.params(k).locations
-
-    def fitted_loss(self, k: int) -> float:
-        return within_cluster_loss(self.locations(k), self.data)

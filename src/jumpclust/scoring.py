@@ -27,6 +27,7 @@ import numpy as np
 from .core import Centers
 
 __all__ = [
+    "sq_dists",
     "nearest_sq_dist",
     "instantaneous_loss",
     "ScoreContext",
@@ -36,17 +37,23 @@ __all__ = [
 ]
 
 
-def nearest_sq_dist(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
-    """Squared distance from each column of xs_t (d, t) to its nearest row of points.
+def sq_dists(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
+    """Squared distance from every row of points to every column of xs_t (d, t).
 
-    ``points`` is one (k, d) center vector or a (n, k, d) stack of them;
-    the result is (t,) or (n, t) accordingly.  The observations come
-    coordinate-major so that the sum over d and the min over k both run
-    over contiguous length-t rows.
+    ``points`` is a (..., k, d) stack of center vectors; the result is
+    (..., k, t).  The observations come coordinate-major so that the sum
+    over d runs over contiguous length-t rows.
     """
     diff = points[..., :, :, None] - xs_t  # (..., k, d, t)
     diff *= diff
-    return diff.sum(axis=-2).min(axis=-2)
+    return diff.sum(axis=-2)
+
+
+def nearest_sq_dist(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
+    """Squared distance from each column of xs_t (d, t) to its nearest row of
+    points: the min over k of :func:`sq_dists`, (t,) for one (k, d) center
+    vector and (n, t) for a (n, k, d) stack."""
+    return sq_dists(points, xs_t).min(axis=-2)
 
 
 def instantaneous_loss(c: Centers, x) -> float:
@@ -61,7 +68,8 @@ def instantaneous_loss(c: Centers, x) -> float:
 class ScoreContext:
     """View of the stream history sufficient to evaluate S_t at any centers.
 
-    observations: (t, d) array of revealed points.
+    observations: (t, d) array of revealed points (a list of (d,) points
+                  is converted).
     ref_losses:   (t,) realized loss of the prediction used at each step.
     lam_prev:     (t,) inverse temperature weighting each step's variance
                   term (entry s holds lambda_{s-1}).
@@ -97,14 +105,6 @@ class ScoreContext:
     @classmethod
     def empty(cls, dim: int) -> "ScoreContext":
         return cls(np.zeros((0, dim)), np.zeros(0), np.zeros(0))
-
-    @classmethod
-    def from_history(cls, history) -> "ScoreContext":
-        return cls(
-            history.observation_matrix(),
-            np.asarray(history.output_losses, dtype=float),
-            np.asarray(history.lambdas, dtype=float),
-        )
 
 
 def score(c: Centers, ctx: ScoreContext) -> float:

@@ -277,13 +277,13 @@ class TestCachedProposalDensity:
         rng = seeded_rng(63, 0)
         accepted_moves = 0
         for _ in range(400):
-            fresh = ProposalParams(props.locations(state.k), props.tau)
+            fresh = ProposalParams(props.params(state.k).locations, props.tau)
             assert state.log_proposal == student_log_density(state.centers, fresh)
             assert state.log_density == log_target(state.centers, tgt)
             # replay the move's draws to rebuild its candidate from scratch
             replay = copy.deepcopy(rng)
             k_cand = propose_dimension(state.k, props.max_clusters, replay)
-            cand_params = ProposalParams(props.locations(k_cand), props.tau)
+            cand_params = ProposalParams(props.params(k_cand).locations, props.tau)
             cand = student_sample(cand_params, replay)
             # the kernel's sum, in its order
             log_alpha = (
@@ -297,7 +297,7 @@ class TestCachedProposalDensity:
             assert alpha == math.exp(min(0.0, log_alpha))
             accepted_moves += accepted
         assert 0 < accepted_moves < 400
-        fresh = ProposalParams(props.locations(state.k), props.tau)
+        fresh = ProposalParams(props.params(state.k).locations, props.tau)
         assert state.log_proposal == student_log_density(state.centers, fresh)
 
 

@@ -83,6 +83,22 @@ class TestRun:
                      "--out", str(out)]) == 0
         assert len(read_csv(out / "summary.csv")) == 7
 
+    def test_csv_takes_only_numbered_x_columns(self, small_config_path, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--horizon", "6", "--seed", "3", "--out", str(data)]) == 0
+        rows = read_csv(data)
+        labelled = tmp_path / "labelled.csv"
+        with open(labelled, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [["xlabel"] + rows[0]] + [[f"obs{i}"] + row for i, row in enumerate(rows[1:])]
+            )
+        outs = tmp_path / "a", tmp_path / "b"
+        for src, out in zip((data, labelled), outs):
+            assert main(["run", "--config", small_config_path, "--data", str(src),
+                         "--out", str(out)]) == 0
+        a, b = ((out / "records.jsonl").read_bytes() for out in outs)
+        assert a == b
+
     def test_trace_step_round_trips_through_records(self, small_config_path, tmp_path):
         out = tmp_path / "out"
         assert main(
@@ -220,6 +236,15 @@ class TestGenerate:
 class TestOracleCheck:
     def test_refuses_large_instances(self, capsys):
         assert main(["oracle-check", "--max-clusters", "5"]) == 1
+
+    @pytest.mark.parametrize(
+        "iters, burn_in", [("100", "100"), ("100", "250"), ("100", "-1"), ("0", "0")]
+    )
+    def test_rejects_burn_in_outside_iters(self, iters, burn_in, capsys):
+        assert main(["oracle-check", "--iters", iters, "--burn-in", burn_in]) == 1
+        captured = capsys.readouterr()
+        assert "--burn-in" in captured.err
+        assert "total variation" not in captured.out
 
     def test_prior_only_quick(self, capsys):
         code = main(

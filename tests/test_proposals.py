@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -133,18 +134,18 @@ class TestKMeansFit:
         rng = seeded_rng(31, 0)
         x = rng.standard_normal((40, 2))
         fit = kmeans_fit(x, 1, KMeansConfig(), seeded_rng(31, 1))
-        np.testing.assert_allclose(fit.points[0], x.mean(axis=0), rtol=1e-9)
+        np.testing.assert_allclose(fit[0], x.mean(axis=0), rtol=1e-9)
 
     def test_k_equals_distinct_points_zero_loss(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         x = np.repeat(pts, 5, axis=0)
         fit = kmeans_fit(x, 3, KMeansConfig(), seeded_rng(32, 0))
-        assert within_cluster_loss(fit.points, x) == pytest.approx(0.0, abs=1e-20)
+        assert within_cluster_loss(fit, x) == pytest.approx(0.0, abs=1e-20)
 
     def test_two_well_separated_points_d1(self):
         x = np.array([[-1.0], [1.0]] * 10)
         fit = kmeans_fit(x, 2, KMeansConfig(), seeded_rng(33, 0))
-        got = sorted(fit.points[:, 0].tolist())
+        got = sorted(fit[:, 0].tolist())
         assert got == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_brute_force_two_partitions_d1(self):
@@ -157,18 +158,40 @@ class TestKMeansFit:
             loss = ((left - left.mean()) ** 2).sum() + ((right - right.mean()) ** 2).sum()
             best = min(best, loss)
         fit = kmeans_fit(x, 2, KMeansConfig(restarts=20), seeded_rng(34, 1))
-        assert within_cluster_loss(fit.points, x) == pytest.approx(best, rel=1e-9)
+        assert within_cluster_loss(fit, x) == pytest.approx(best, rel=1e-9)
 
     def test_pads_when_fewer_points_than_centers(self):
         x = np.array([[2.0, 3.0]])
         fit = kmeans_fit(x, 4, KMeansConfig(), seeded_rng(35, 0), pad_jitter=1e-6)
-        assert fit.k == 4
-        assert np.all(np.isfinite(fit.points))
-        assert np.abs(fit.points - np.array([2.0, 3.0])).max() < 1e-4
+        assert fit.shape == (4, 2)
+        assert np.all(np.isfinite(fit))
+        assert np.abs(fit - np.array([2.0, 3.0])).max() < 1e-4
 
     def test_empty_data_returns_jittered_origin(self):
         fit = kmeans_fit(np.zeros((0, 2)), 3, KMeansConfig(), seeded_rng(36, 0))
-        assert fit.k == 3 and np.abs(fit.points).max() < 1e-4
+        assert fit.shape == (3, 2) and np.abs(fit).max() < 1e-4
+
+    @pytest.mark.parametrize("n", [0, 2, 30])  # padded from nothing, padded, Lloyd
+    def test_returns_read_only_array(self, n):
+        x = seeded_rng(37, n).standard_normal((n, 2))
+        fit = kmeans_fit(x, 3, KMeansConfig(), seeded_rng(37, 0))
+        assert isinstance(fit, np.ndarray) and fit.shape == (3, 2)
+        assert not fit.flags.writeable
+        with pytest.raises(ValueError):
+            fit[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        x = seeded_rng(38, 0).standard_normal((10, 2))
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans_fit(x, 2, KMeansConfig(), seeded_rng(38, 1))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        x = seeded_rng(39, 0).standard_normal((10, 2))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            kmeans_fit(x, k, KMeansConfig(), seeded_rng(39, 1))
 
 
 class TestStepProposals:
@@ -188,15 +211,15 @@ class TestStepProposals:
             [rng.standard_normal((15, 2)) + mu for mu in ([0, 0], [4, 0], [0, 4])]
         )
         props = self._props(x)
-        losses = [props.fitted_loss(k) for k in range(1, 7)]
+        losses = [within_cluster_loss(props.params(k).locations, x) for k in range(1, 7)]
         assert all(a >= b - 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_locations_cached_and_stable(self):
         rng = seeded_rng(42, 0)
         x = rng.standard_normal((30, 2))
         props = self._props(x)
-        first = props.locations(3)
-        again = props.locations(3)
+        first = props.params(3).locations
+        again = props.params(3).locations
         assert first is again
 
     def test_order_independence_of_fits(self):
@@ -204,9 +227,9 @@ class TestStepProposals:
         x = rng.standard_normal((25, 2))
         a = self._props(x)
         b = self._props(x)
-        a.locations(4)  # ascending internally
-        np.testing.assert_array_equal(a.locations(2), b.locations(2))
-        np.testing.assert_array_equal(a.locations(4), b.locations(4))
+        a.params(4)  # ascending internally
+        np.testing.assert_array_equal(a.params(2).locations, b.params(2).locations)
+        np.testing.assert_array_equal(a.params(4).locations, b.params(4).locations)
 
     def test_params_carry_tau(self):
         x = seeded_rng(44, 0).standard_normal((10, 2))
@@ -217,4 +240,46 @@ class TestStepProposals:
     def test_k_out_of_range(self):
         props = self._props(seeded_rng(45, 0).standard_normal((10, 2)), p=3)
         with pytest.raises(ValueError):
-            props.locations(4)
+            props.params(4)
+
+
+def kmeans_digests(dim: int):
+    """SHA-1 of the bytes of every fit in a fixed batch of d-dimensional
+    k-means problems: (``kmeans_fit`` digest, ``StepProposals`` digest)."""
+    fits, steps = hashlib.sha1(), hashlib.sha1()
+    for i, n in enumerate((0, 2, 9, 12, 40, 120)):
+        rng = seeded_rng(60 + dim, i)
+        groups = rng.uniform(-8, 8, size=(4, dim))
+        x = groups[rng.integers(0, 4, size=n)] + rng.standard_normal((n, dim))
+        if n == 12:
+            x = np.repeat(x[:4], 3, axis=0)  # 4 distinct points: k = 7 leaves clusters empty
+        elif n >= 9:  # repeated points
+            x[n // 3 :: 3] = x[0]
+        for k in (1, 2, 3, 7):
+            fit = kmeans_fit(x, k, KMeansConfig(restarts=4), seeded_rng(70 + dim, (i, k)))
+            fits.update(fit.tobytes())
+        props = StepProposals(
+            x, tau=0.1, max_clusters=6, kmeans_cfg=KMeansConfig(restarts=3),
+            rng_for_k=lambda k, _i=i: seeded_rng(80 + dim, (_i, k)),
+        )
+        for k in range(1, 7):
+            steps.update(props.params(k).locations.tobytes())
+    return fits.hexdigest(), steps.hexdigest()
+
+
+# recorded before k-means shared the score's squared-distance kernel
+KMEANS_GOLDEN = {
+    1: ("60dc4215d22d61abbbb699cef42510455609eedb", "469a3d5309e6a81b77acd023d5aa49ba08ab61ef"),
+    2: ("a592b92e6172dde46e95779b99ab0dcfd0704da8", "241717c5280f0b3f9170e81dc0f32881b0bb49b5"),
+    3: ("45f5fc8cca4c52263d2893ba5cda1ddd7405edbf", "77ea4f565c5400948cc7ff8b9d84c52df5f7df4e"),
+    5: ("c39a0ce6a0b9e01c78bd75933224806adf20cb86", "b81bde74d6ac8056c2070706e61a73b1b251bf61"),
+}
+
+
+class TestKMeansGolden:
+    """k-means outputs are bit-identical to the fitter's earlier
+    (n, k, d)-broadcast implementation."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_fits_unchanged(self, dim):
+        assert kmeans_digests(dim) == KMEANS_GOLDEN[dim]

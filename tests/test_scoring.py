@@ -10,6 +10,7 @@ from jumpclust.scoring import (
     instantaneous_loss,
     nearest_sq_dist,
     score,
+    sq_dists,
     score_batch,
 )
 
@@ -48,6 +49,24 @@ class TestNearestSqDist:
         np.testing.assert_array_equal(
             nearest_sq_dist(points, xs.T), nearest_sq_dist(points, np.ascontiguousarray(xs.T))
         )
+
+
+class TestSqDists:
+    """The shared kernel against the (n, k, d) broadcast k-means used before."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_matches_brute_force(self, dim):
+        rng = seeded_rng(17, dim)
+        for t, k in ((1, 1), (7, 3), (40, 6), (200, 20)):
+            xs = rng.uniform(-15, 15, size=(t, dim))
+            for points in (rng.uniform(-30, 30, size=(k, dim)), rng.uniform(-30, 30, size=(5, k, dim))):
+                got = sq_dists(points, np.ascontiguousarray(xs.T))
+                ref = ((points[..., :, None, :] - xs) ** 2).sum(-1)
+                assert got.shape == points.shape[:-1] + (t,)
+                if dim <= 2:
+                    np.testing.assert_array_equal(got, ref)
+                else:
+                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 class TestInstantaneousLoss:
