@@ -42,7 +42,7 @@ from .metrics import (
 )
 from .online import TemperatureSchedule, lambda_at, run_stream, run_synthetic_repetitions
 from .online import _CHAIN_STREAM, _DATA_STREAM, _KMEANS_STREAM
-from .posterior import GridTooLargeError, TargetDensity, grid_oracle
+from .posterior import TargetDensity, grid_oracle
 from .priors import PriorSpec
 from .proposals import StepProposals, proposal_scale
 from .scoring import ScoreContext
@@ -68,6 +68,21 @@ class CliError(RuntimeError):
     pass
 
 
+def _int_from(lo: int):
+    """argparse ``type=`` for an integer flag whose values start at ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _prepare_outputs(out_dir: str, names, overwrite: bool):
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -91,7 +106,7 @@ def _load_stream(args):
     if args.data is not None:
         with open(args.data, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             cols = {name: i for i, name in enumerate(header)}
             xcols = sorted(
                 (name for name in cols if name[:1] == "x" and name[1:].isdecimal()),
@@ -101,6 +116,13 @@ def _load_stream(args):
                 raise CliError(f"no coordinate columns (x1, x2, ...) in {args.data}")
             xs, ks = [], []
             for row in reader:
+                if not row:
+                    continue
+                if len(row) < len(header):
+                    raise CliError(
+                        f"{args.data}: line {reader.line_num} has {len(row)} fields, "
+                        f"the header has {len(header)}"
+                    )
                 xs.append([float(row[cols[c]]) for c in xcols])
                 if "k_true" in cols:
                     ks.append(int(row[cols["k_true"]]))
@@ -114,8 +136,8 @@ def _add_stream_args(p: _Parser):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="input stream CSV (columns x1..xd, optional k_true)")
     src.add_argument("--synthetic", choices=["sine_drift"], help="generate the stream instead")
-    p.add_argument("--horizon", type=int, default=200, help="steps for --synthetic")
-    p.add_argument("--data-seed", type=int, default=0, help="seed for --synthetic data")
+    p.add_argument("--horizon", type=_int_from(1), default=200, help="steps for --synthetic")
+    p.add_argument("--data-seed", type=_int_from(0), default=0, help="seed for --synthetic data")
 
 
 # --- run --------------------------------------------------------------------
@@ -159,9 +181,6 @@ def _benchmark_config(seed: int, chain_length: int) -> StreamConfig:
         dim=2,
         max_clusters=20,
         radius=15.0,
-        decay=0.0,
-        prior_kind="uniform",
-        schedule=TemperatureSchedule.default(2),
         chain_length=chain_length,
         seed=seed,
         label_correction=True,
@@ -169,16 +188,13 @@ def _benchmark_config(seed: int, chain_length: int) -> StreamConfig:
 
 
 def _cmd_replicate(args) -> int:
-    reps = 100 if args.full else args.reps
-    if reps < 1:
-        raise CliError("--reps must be >= 1")
     cfg = _benchmark_config(args.seed, args.chain_length)
     spec = SyntheticSpec(kind="sine_drift", horizon=args.horizon)
     counts_path, stats_path, regret_path = _prepare_outputs(
         args.out, ["correct_k.csv", "replicate_stats.json", "regret.csv"], args.overwrite
     )
 
-    results = run_synthetic_repetitions(cfg, spec, reps)
+    results = run_synthetic_repetitions(cfg, spec, args.reps)
     counts = [correct_k_count(rec, stream.k_true) for stream, rec in results]
     post_counts = [
         int((updated_k_sequence(rec) == stream.k_true).sum()) for stream, rec in results
@@ -189,11 +205,11 @@ def _cmd_replicate(args) -> int:
         [[r, cfg.seed, c, p] for r, (c, p) in enumerate(zip(counts, post_counts))],
     )
     mean = statistics.fmean(counts)
-    std = statistics.stdev(counts) if reps > 1 else None
+    std = statistics.stdev(counts) if args.reps > 1 else None
     with open(stats_path, "w", encoding="utf-8") as fh:
         json.dump(
             {
-                "reps": reps,
+                "reps": args.reps,
                 "mean": mean,
                 "std": std,
                 "counts": counts,
@@ -220,7 +236,7 @@ def _cmd_replicate(args) -> int:
 
     print(_OCL_CAVEAT)
     std_text = f"{std:.2f}" if std is not None else "n/a"
-    print(f"correct-k over {reps} repetitions: mean={mean:.2f} std={std_text}")
+    print(f"correct-k over {args.reps} repetitions: mean={mean:.2f} std={std_text}")
     print(f"wrote {counts_path}, {stats_path}, {regret_path}")
     return 0
 
@@ -230,7 +246,7 @@ def _cmd_replicate(args) -> int:
 def _cmd_trace(args) -> int:
     cfg = load_config(args.config)
     xs, _ = _load_stream(args)
-    if not 1 <= args.step <= xs.shape[0]:
+    if args.step > xs.shape[0]:
         raise CliError(f"--step {args.step} outside the stream (length {xs.shape[0]})")
     (out_path,) = _prepare_outputs(args.out, [f"trace_t{args.step}.csv"], args.overwrite)
     record = run_stream(xs[: args.step], cfg, rep=args.rep, trace_steps={args.step})
@@ -344,17 +360,13 @@ def _toy_target(args) -> TargetDensity:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.max_clusters > 3 or args.dim > 2:
-        print("oracle-check is limited to dim <= 2 and max-clusters <= 3", file=sys.stderr)
-        return _USAGE_EXIT
-    if args.iters < 1 or not 0 <= args.burn_in < args.iters:
-        print("oracle-check needs --iters >= 1 and 0 <= --burn-in < --iters", file=sys.stderr)
+    if args.burn_in >= args.iters:
+        print("oracle-check needs --burn-in < --iters", file=sys.stderr)
         return _USAGE_EXIT
     tgt = _toy_target(args)
-    t_obs = tgt.ctx.t
     proposals = StepProposals(
-        tgt.ctx.observations if t_obs else np.zeros((0, args.dim)),
-        tau=proposal_scale(args.max_clusters, t_obs + 1 if t_obs else 0),
+        tgt.ctx.observations,
+        tau=proposal_scale(args.max_clusters, tgt.ctx.t + 1),
         max_clusters=args.max_clusters,
         kmeans_cfg=KMeansConfig(),
         rng_for_k=lambda k: seeded_rng(args.seed, (_KMEANS_STREAM, 0, k)),
@@ -385,24 +397,23 @@ def build_parser() -> _Parser:
     run.add_argument("--config", required=True, help="JSON config file")
     _add_stream_args(run)
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--rep", type=int, default=0, help="repetition index (stream id)")
+    run.add_argument("--seed", type=_int_from(0), default=None, help="override the config seed")
+    run.add_argument("--rep", type=_int_from(0), default=0, help="repetition index (stream id)")
     run.add_argument("--radius-auto", action="store_true",
                      help="set the radius to the max observed |x|_2 before running")
-    run.add_argument("--trace-step", type=int, action="append",
+    run.add_argument("--trace-step", type=_int_from(1), action="append",
                      help="record the sampler trace at this step (repeatable)")
     run.add_argument("--overwrite", action="store_true")
     run.set_defaults(fn=_cmd_run)
 
     rep = sub.add_parser("replicate", help="drifting-groups accuracy benchmark")
-    rep.add_argument("--reps", type=int, default=20)
-    rep.add_argument("--full", action="store_true", help="use 100 repetitions")
-    rep.add_argument("--horizon", type=int, default=200)
-    rep.add_argument("--chain-length", type=int, default=500)
-    rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--regret-every", type=int, default=10,
+    rep.add_argument("--reps", type=_int_from(1), default=20)
+    rep.add_argument("--horizon", type=_int_from(1), default=200)
+    rep.add_argument("--chain-length", type=_int_from(1), default=500)
+    rep.add_argument("--seed", type=_int_from(0), default=0)
+    rep.add_argument("--regret-every", type=_int_from(1), default=10,
                      help="step spacing of the regret summary rows")
-    rep.add_argument("--ocl-restarts", type=int, default=50)
+    rep.add_argument("--ocl-restarts", type=_int_from(1), default=50)
     rep.add_argument("--out", required=True)
     rep.add_argument("--overwrite", action="store_true")
     rep.set_defaults(fn=_cmd_replicate)
@@ -410,8 +421,8 @@ def build_parser() -> _Parser:
     tr = sub.add_parser("trace", help="export one step's sampler trace")
     tr.add_argument("--config", required=True)
     _add_stream_args(tr)
-    tr.add_argument("--step", type=int, required=True, help="1-based observation index")
-    tr.add_argument("--rep", type=int, default=0)
+    tr.add_argument("--step", type=_int_from(1), required=True, help="1-based observation index")
+    tr.add_argument("--rep", type=_int_from(0), default=0)
     tr.add_argument("--out", required=True)
     tr.add_argument("--overwrite", action="store_true")
     tr.set_defaults(fn=_cmd_trace)
@@ -433,26 +444,26 @@ def build_parser() -> _Parser:
 
     ge = sub.add_parser("generate", help="emit a synthetic stream as CSV")
     ge.add_argument("--model", choices=["sine_drift"], default="sine_drift")
-    ge.add_argument("--horizon", type=int, default=200)
-    ge.add_argument("--seed", type=int, default=0)
+    ge.add_argument("--horizon", type=_int_from(1), default=200)
+    ge.add_argument("--seed", type=_int_from(0), default=0)
     ge.add_argument("--out", default=None, help="output CSV (default: stdout)")
     ge.add_argument("--overwrite", action="store_true")
     ge.set_defaults(fn=_cmd_generate)
 
     oc = sub.add_parser("oracle-check", help="sampler vs grid oracle on a toy instance")
-    oc.add_argument("--dim", type=int, default=1)
-    oc.add_argument("--max-clusters", type=int, default=3)
+    oc.add_argument("--dim", type=int, choices=[1, 2], default=1)
+    oc.add_argument("--max-clusters", type=int, choices=[1, 2, 3], default=3)
     oc.add_argument("--radius", type=float, default=1.0)
     oc.add_argument("--eta", type=float, default=0.3)
     oc.add_argument("--lam", type=float, default=None,
                     help="target temperature (default: anytime value at t=3)")
     oc.add_argument("--prior-only", action="store_true",
                     help="check against the prior itself (temperature 0)")
-    oc.add_argument("--iters", type=int, default=100_000)
-    oc.add_argument("--burn-in", type=int, default=2_000)
-    oc.add_argument("--resolution", type=int, default=200)
+    oc.add_argument("--iters", type=_int_from(1), default=100_000)
+    oc.add_argument("--burn-in", type=_int_from(0), default=2_000)
+    oc.add_argument("--resolution", type=_int_from(2), default=200)
     oc.add_argument("--tv-limit", type=float, default=0.05)
-    oc.add_argument("--seed", type=int, default=0)
+    oc.add_argument("--seed", type=_int_from(0), default=0)
     oc.set_defaults(fn=_cmd_oracle_check)
 
     return p
@@ -462,10 +473,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"jumpclust: {exc}", file=sys.stderr)
-        return _RUNTIME_EXIT
-    except (OSError, ValueError, GridTooLargeError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"jumpclust: {exc}", file=sys.stderr)
         return _RUNTIME_EXIT
 

@@ -8,13 +8,17 @@ per (repetition, time step, purpose) so that runs replay bit-identically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .online import TemperatureSchedule
 
 __all__ = [
     "Centers",
@@ -175,7 +179,7 @@ class StreamConfig:
     decay: float = 0.0
     prior_kind: str = "uniform"
     prior_scale: float = 1.0
-    schedule: object = None  # TemperatureSchedule; resolved in __post_init__
+    schedule: Optional[TemperatureSchedule] = None  # resolved in __post_init__
     chain_length: int = 500
     seed: int = 0
     kmeans: KMeansConfig = field(default_factory=KMeansConfig)
@@ -226,7 +230,7 @@ class StepRecord:
     cum_loss: float
     trace: Optional[object] = None  # ChainTrace
 
-    def to_json_dict(self, include_trace: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         out = {
             "kind": "step",
             "t": self.t,
@@ -235,7 +239,7 @@ class StepRecord:
             "loss": self.loss,
             "cum_loss": self.cum_loss,
         }
-        if include_trace and self.trace is not None:
+        if self.trace is not None:
             out["trace"] = self.trace.to_json_dict()
         return out
 
@@ -270,7 +274,7 @@ class RunRecord:
     def cumulative_losses(self) -> np.ndarray:
         return np.array([s.cum_loss for s in self.steps], dtype=float)
 
-    def to_json_lines(self, include_trace: bool = True) -> list:
+    def to_json_lines(self) -> list:
         lines = [
             json.dumps(
                 {"kind": "header", "seed": self.seed, "rep": self.rep, "dim": self.dim},
@@ -278,7 +282,7 @@ class RunRecord:
             )
         ]
         for s in self.steps:
-            lines.append(json.dumps(s.to_json_dict(include_trace), sort_keys=True))
+            lines.append(json.dumps(s.to_json_dict(), sort_keys=True))
         lines.append(
             json.dumps({"kind": "final", "centers": self.final_centers.to_list()}, sort_keys=True)
         )
@@ -330,26 +334,67 @@ class RunRecord:
 
 # --- configuration files -------------------------------------------------
 
-def _schedule_from_dict(d: dict):
+def _config_classes() -> dict:
+    """Config dataclasses that nest inside a StreamConfig, by annotation name."""
     from .online import TemperatureSchedule
 
-    kind = d.get("kind", "default")
-    return TemperatureSchedule(
-        kind=kind,
-        value=d.get("value"),
-        horizon=d.get("horizon"),
-        values=tuple(d["values"]) if d.get("values") is not None else None,
-        dim=d.get("dim"),
-        radius=d.get("radius"),
-    )
+    return {c.__name__: c for c in (KMeansConfig, TemperatureSchedule)}
+
+
+def _field_value(path: str, annotation: str, value):
+    """One JSON value checked and converted against its field's declared type
+    (the annotation string, as postponed evaluation leaves it)."""
+    kind = annotation.removeprefix("Optional[").removesuffix("]")
+    classes = _config_classes()
+    if kind in classes:
+        return _config_from_dict(classes[kind], value, f"{path}.")
+    if kind == "float" and isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    if kind in ("int", "float"):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and (kind == "float" or float(value).is_integer())
+    else:
+        ok = kind != "bool" or isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"config field {path!r} must be of type {kind}, got {value!r}")
+    return int(value) if kind == "int" else float(value) if kind == "float" else value
+
+
+def _config_from_dict(cls, raw, prefix: str = ""):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    Field names, defaults and required fields come from the dataclass; a
+    null value means the field's default, and nested configs recurse.
+    """
+    where = f"config field {prefix[:-1]!r}" if prefix else "config"
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    unknown = sorted(prefix + name for name in set(raw) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown config fields: {unknown}")
+    for name, f in fields.items():
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and raw.get(name) is None:
+            raise ValueError(f"config is missing required field {prefix + name!r}")
+    kwargs = {
+        name: _field_value(prefix + name, fields[name].type, value)
+        for name, value in raw.items()
+        if value is not None
+    }
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a JSON value of the wrong shape, e.g. a number for a list
+        raise ValueError(f"invalid {where}: {exc}") from exc
 
 
 def load_config(source) -> StreamConfig:
     """Build a :class:`StreamConfig` from a JSON file path, file object or dict.
 
     Field names map 1:1 to :class:`StreamConfig`; ``schedule`` is a nested
-    object with a ``kind`` plus its parameters, ``kmeans`` a nested object
-    with ``restarts``/``max_iter``/``tol``.
+    :class:`~jumpclust.online.TemperatureSchedule` object (no ``kind``
+    means ``default``), ``kmeans`` a nested :class:`KMeansConfig` object.
+    Unknown keys are rejected at every level; float fields accept ``"inf"``.
     """
     if isinstance(source, dict):
         raw = dict(source)
@@ -358,78 +403,19 @@ def load_config(source) -> StreamConfig:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
-    if "burn_in" in raw:  # accepted from older config files
+    if isinstance(raw, dict) and "burn_in" in raw:  # accepted from older config files
         del raw["burn_in"]
         warnings.warn("config field 'burn_in' is no longer used and is ignored", stacklevel=2)
+    return _config_from_dict(StreamConfig, raw)
 
-    known = {
-        "dim",
-        "max_clusters",
-        "radius",
-        "decay",
-        "prior_kind",
-        "prior_scale",
-        "schedule",
-        "chain_length",
-        "seed",
-        "kmeans",
-        "label_correction",
+
+def _inf_as_text(d: dict) -> dict:
+    return {
+        k: _inf_as_text(v) if isinstance(v, dict) else "inf" if v == math.inf else v
+        for k, v in d.items()
     }
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    for req in ("dim", "max_clusters", "radius"):
-        if req not in raw:
-            raise ValueError(f"config is missing required field {req!r}")
-
-    radius = raw["radius"]
-    if isinstance(radius, str):
-        if radius.lower() in ("inf", "infinity"):
-            radius = math.inf
-        else:
-            raise ValueError(f"radius must be a number or 'inf', got {radius!r}")
-
-    kwargs = {
-        "dim": int(raw["dim"]),
-        "max_clusters": int(raw["max_clusters"]),
-        "radius": float(radius),
-        "decay": float(raw.get("decay", 0.0)),
-        "prior_kind": raw.get("prior_kind", "uniform"),
-        "prior_scale": float(raw.get("prior_scale", 1.0)),
-        "chain_length": int(raw.get("chain_length", 500)),
-        "seed": int(raw.get("seed", 0)),
-        "label_correction": bool(raw.get("label_correction", False)),
-    }
-    if "schedule" in raw and raw["schedule"] is not None:
-        kwargs["schedule"] = _schedule_from_dict(raw["schedule"])
-    if "kmeans" in raw and raw["kmeans"] is not None:
-        kwargs["kmeans"] = KMeansConfig(**raw["kmeans"])
-    return StreamConfig(**kwargs)
 
 
 def dump_config(cfg: StreamConfig) -> dict:
-    """Inverse of :func:`load_config` (modulo schedule resolution)."""
-    sched = cfg.schedule
-    out = {
-        "dim": cfg.dim,
-        "max_clusters": cfg.max_clusters,
-        "radius": "inf" if math.isinf(cfg.radius) else cfg.radius,
-        "decay": cfg.decay,
-        "prior_kind": cfg.prior_kind,
-        "prior_scale": cfg.prior_scale,
-        "schedule": {
-            "kind": sched.kind,
-            "value": sched.value,
-            "horizon": sched.horizon,
-            "values": list(sched.values) if sched.values is not None else None,
-            "dim": sched.dim,
-            "radius": sched.radius,
-        },
-        "chain_length": cfg.chain_length,
-        "seed": cfg.seed,
-        "kmeans": asdict(cfg.kmeans),
-        "label_correction": cfg.label_correction,
-    }
-    return out
+    """Inverse of :func:`load_config`: every field, nested configs as objects."""
+    return _inf_as_text(dataclasses.asdict(cfg))

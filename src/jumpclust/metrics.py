@@ -42,16 +42,10 @@ __all__ = [
 ]
 
 _OCL_STREAM = 7
+_OCL_MAX_ITER = 200
 
 
-def ocl(
-    xs: np.ndarray,
-    k_star: int,
-    radius: float,
-    restarts: int = 50,
-    rng=None,
-    max_iter: int = 200,
-) -> float:
+def ocl(xs: np.ndarray, k_star: int, radius: float, restarts: int = 50, rng=None) -> float:
     """Upper approximation of the oracle cumulative loss.
 
     Best-of-``restarts`` k-means fit of k_star centers on the whole
@@ -66,7 +60,7 @@ def ocl(
         xs = xs.reshape(-1, 1)
     if rng is None:
         rng = seeded_rng(0, (_OCL_STREAM, xs.shape[0], k_star))
-    fit = kmeans_fit(xs, k_star, KMeansConfig(restarts=restarts, max_iter=max_iter), rng)
+    fit = kmeans_fit(xs, k_star, KMeansConfig(restarts=restarts, max_iter=_OCL_MAX_ITER), rng)
     return within_cluster_loss(clip_to_ball(fit, radius), xs)
 
 

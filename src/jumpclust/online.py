@@ -32,7 +32,7 @@ from .scoring import ScoreContext, instantaneous_loss
 __all__ = [
     "TemperatureSchedule",
     "lambda_at",
-    "variance_weight_schedule",
+    "variance_weight",
     "run_stream",
     "run_synthetic",
     "run_synthetic_repetitions",
@@ -67,7 +67,7 @@ class TemperatureSchedule:
     non-increasing for t >= 1.
     """
 
-    kind: str
+    kind: str = "default"
     value: Optional[float] = None
     horizon: Optional[int] = None
     values: Optional[tuple] = None
@@ -178,31 +178,25 @@ def _want_trace(trace_steps: TraceSteps, t: int) -> bool:
     return t in trace_steps
 
 
-def variance_weight_schedule(cfg: StreamConfig) -> TemperatureSchedule:
-    """Schedule supplying the score's variance-term coefficients.
+def variance_weight(cfg: StreamConfig, t_prev: int) -> float:
+    """Coefficient of the score's variance term for the observation after t_prev.
 
     For every schedule whose values carry the theory's 1/R^2 scaling
-    (fixed, horizon, anytime, inverse_sqrt, custom) the run's own schedule
-    is used, which is the literal online recursion.  The radius-free
-    ``default`` calibration is a practical temperature only: reusing it as
-    the variance coefficient inflates the quadratic term by a factor R^2
-    and makes the posterior cling to whatever losses were realized (new
-    clusters then can never be adopted).  Those runs therefore weight the
-    variance terms with the radius-aware anytime values, the coefficients
-    the adaptive guarantee is actually stated for.
+    (fixed, horizon, anytime, inverse_sqrt, custom) this is the run's own
+    lambda_{t_prev}, which is the literal online recursion.  The
+    radius-free ``default`` calibration is a practical temperature only:
+    reusing it as the variance coefficient inflates the quadratic term by a
+    factor R^2 and makes the posterior cling to whatever losses were
+    realized (new clusters then can never be adopted).  Those runs
+    therefore weight the variance terms with the radius-aware anytime
+    values, the coefficients the adaptive guarantee is actually stated for,
+    and skip its lambda_0 = 1 anchor as well: at practical temperatures a
+    unit-weight first term pins all later posteriors to the (random) first
+    realized loss.
     """
     if cfg.schedule.kind == "default":
-        return TemperatureSchedule.anytime(cfg.dim, cfg.radius)
-    return cfg.schedule
-
-
-def _variance_weight(cfg: StreamConfig, weights: TemperatureSchedule, t_prev: int) -> float:
-    if cfg.schedule.kind == "default":
-        # skip the lambda_0 = 1 anchor as well: at practical temperatures a
-        # unit-weight first term pins all later posteriors to the (random)
-        # first realized loss
-        return lambda_at(weights, max(t_prev, 1))
-    return lambda_at(weights, t_prev)
+        return lambda_at(TemperatureSchedule.anytime(cfg.dim, cfg.radius), max(t_prev, 1))
+    return lambda_at(cfg.schedule, t_prev)
 
 
 def run_stream(
@@ -222,7 +216,6 @@ def run_stream(
     current = sample_prior(prior, seeded_rng(cfg.seed, (_INIT_STREAM, rep)))
     observations, ref_losses, lam_prev = [], [], []  # x_s, realized loss, variance weight
     jitter_scale = cfg.radius if math.isfinite(cfg.radius) else cfg.prior_scale
-    weights = variance_weight_schedule(cfg)
     steps = []
     cum = 0.0
     warned = False
@@ -242,7 +235,7 @@ def run_stream(
         cum += loss
         observations.append(x)
         ref_losses.append(loss)
-        lam_prev.append(_variance_weight(cfg, weights, t - 1))
+        lam_prev.append(variance_weight(cfg, t - 1))
 
         tgt = TargetDensity(
             lambda_at(cfg.schedule, t),
@@ -280,7 +273,7 @@ def run_stream(
     )
 
 
-def run_synthetic(cfg: StreamConfig, spec, rep: int = 0, trace_steps: TraceSteps = None):
+def run_synthetic(cfg: StreamConfig, spec, rep: int = 0):
     """Generate one synthetic stream (seeded per repetition) and run on it.
 
     Returns (stream, record); the stream carries the true cluster counts
@@ -289,13 +282,13 @@ def run_synthetic(cfg: StreamConfig, spec, rep: int = 0, trace_steps: TraceSteps
     from .datagen import generate
 
     stream = generate(spec, seeded_rng(cfg.seed, (_DATA_STREAM, rep)))
-    record = run_stream(stream.xs, cfg, rep=rep, trace_steps=trace_steps)
+    record = run_stream(stream.xs, cfg, rep=rep)
     return stream, record
 
 
-def run_synthetic_repetitions(cfg: StreamConfig, spec, reps: int, trace_steps: TraceSteps = None):
+def run_synthetic_repetitions(cfg: StreamConfig, spec, reps: int):
     """Independent repetitions with per-repetition data and sampler streams,
     run one after another and returned in repetition order."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return [run_synthetic(cfg, spec, rep=r, trace_steps=trace_steps) for r in range(reps)]
+    return [run_synthetic(cfg, spec, rep=r) for r in range(reps)]

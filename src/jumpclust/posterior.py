@@ -150,7 +150,7 @@ class GridOracle:
         return float(sum(float(v.sum()) for v in self.cell_masses.values()))
 
 
-def grid_oracle(tgt: TargetDensity, resolution: int, max_cells: int = MAX_GRID_CELLS) -> GridOracle:
+def grid_oracle(tgt: TargetDensity, resolution: int) -> GridOracle:
     """Brute-force normalization of the target on a toy instance.
 
     resolution
@@ -168,8 +168,8 @@ def grid_oracle(tgt: TargetDensity, resolution: int, max_cells: int = MAX_GRID_C
     block_pts, block_vols = _block_cells(spec.dim, spec.radius, resolution)
     b = block_pts.shape[0]
     total = sum(b**k for k in range(1, spec.max_clusters + 1))
-    if total > max_cells:
-        raise GridTooLargeError(f"grid would need {total} cells (budget {max_cells})")
+    if total > MAX_GRID_CELLS:
+        raise GridTooLargeError(f"grid would need {total} cells (budget {MAX_GRID_CELLS})")
 
     log_block_vols = np.log(block_vols)
     slice_logs = {}

@@ -111,38 +111,29 @@ class TruncationEstimate:
 
     prob: float
     stderr: float
-    n_samples: int
-    seed: int
 
 
 @functools.lru_cache(maxsize=None)
-def estimate_truncation_prob(
-    dim: int,
-    radius: float,
-    scale: float,
-    n_samples: int = _TRUNC_SAMPLES,
-    seed: int = _TRUNC_SEED,
-) -> TruncationEstimate:
-    """P(|X|_2 <= 2*radius) for one untruncated block, by seeded Monte Carlo.
+def estimate_truncation_prob(dim: int, radius: float, scale: float) -> TruncationEstimate:
+    """P(|X|_2 <= 2*radius) for one untruncated block, by seeded Monte Carlo
+    over ``_TRUNC_SAMPLES`` draws.
 
     Estimates are memoised per argument tuple; the recorded standard error
     lets callers budget the residual bias when checking normalizations.
     """
     if math.isinf(radius):
-        return TruncationEstimate(1.0, 0.0, 0, seed)
-    rng = seeded_rng(seed, (dim, n_samples))
+        return TruncationEstimate(1.0, 0.0)
+    rng = seeded_rng(_TRUNC_SEED, (dim, _TRUNC_SAMPLES))
     inside = 0
     chunk = 200_000
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
+    for done in range(0, _TRUNC_SAMPLES, chunk):
+        m = min(chunk, _TRUNC_SAMPLES - done)
         draws = sample_student_blocks(m, dim, scale, 0.0, rng)
         outside = _outside_support(np.einsum("ij,ij->i", draws, draws), radius)
         inside += m - int(np.count_nonzero(outside))
-        done += m
-    prob = inside / n_samples
-    stderr = math.sqrt(max(prob * (1.0 - prob), 1e-300) / n_samples)
-    return TruncationEstimate(prob, stderr, n_samples, seed)
+    prob = inside / _TRUNC_SAMPLES
+    stderr = math.sqrt(max(prob * (1.0 - prob), 1e-300) / _TRUNC_SAMPLES)
+    return TruncationEstimate(prob, stderr)
 
 
 @dataclass(frozen=True)
@@ -155,7 +146,7 @@ class PriorSpec:
     radius: float
     decay: float = 0.0
     scale: float = 1.0  # student only
-    trunc: Optional[TruncationEstimate] = None
+    trunc: Optional[TruncationEstimate] = field(init=False, default=None)  # student only
     # per k in 1..p: (log q(k), k * block_log_norm()), the constants every evaluation adds
     k_terms: tuple = field(init=False, repr=False, compare=False)
 
@@ -172,7 +163,7 @@ class PriorSpec:
             raise ValueError("decay must be >= 0")
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
-        if self.kind == "student" and self.trunc is None:
+        if self.kind == "student":
             object.__setattr__(
                 self, "trunc", estimate_truncation_prob(self.dim, self.radius, self.scale)
             )

@@ -4,7 +4,8 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 The replication benchmark (criteria 1-2) runs the CLI once per session
 with its reference settings: 20 repetitions of the 200-step drifting
 stream, 20 max clusters, radius 15, 500 sampler iterations per step and
-the radius-free practical temperature.  Expect several minutes.
+the radius-free practical temperature.  Expect several minutes; those two
+criteria carry the ``slow`` marker, the others run in seconds.
 """
 
 import csv
@@ -29,8 +30,6 @@ from jumpclust.proposals import (
     student_log_density,
 )
 from jumpclust.scoring import ScoreAccumulator, ScoreContext, score
-
-pytestmark = pytest.mark.slow
 
 BENCH_REPS = 20
 BENCH_HORIZON = 200
@@ -64,6 +63,7 @@ def benchmark_outputs(tmp_path_factory):
     return stats_blob, regret_rows
 
 
+@pytest.mark.slow
 class TestCriterion1Replication:
     def test_mean_correct_k_in_reference_window(self, benchmark_outputs):
         """Benchmark accuracy: mean correct cluster-count over 20 repetitions.
@@ -93,6 +93,7 @@ class TestCriterion1Replication:
         )
 
 
+@pytest.mark.slow
 class TestCriterion2Regret:
     def test_regret_positive_and_below_bound(self, benchmark_outputs):
         _, rows = benchmark_outputs

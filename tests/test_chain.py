@@ -16,7 +16,7 @@ from jumpclust.chain import (
 )
 from jumpclust.core import Centers, KMeansConfig, StreamConfig, clip_to_ball, seeded_rng
 from jumpclust.datagen import SyntheticSpec, generate
-from jumpclust.online import lambda_at, variance_weight_schedule
+from jumpclust.online import lambda_at, variance_weight
 from jumpclust.posterior import TargetDensity, grid_oracle, log_target
 from jumpclust.priors import PriorSpec
 from jumpclust.proposals import (
@@ -242,11 +242,10 @@ def sine_drift_step(t=40, p=20):
     settings (p clusters, R=15, label correction on), built as run_stream does."""
     cfg = StreamConfig(dim=2, max_clusters=p, radius=15.0, label_correction=True)
     xs = generate(SyntheticSpec(kind="sine_drift", horizon=t), seeded_rng(7, 0)).xs
-    weights = variance_weight_schedule(cfg)
     ctx = ScoreContext(
         xs,
         np.einsum("td,td->t", xs, xs),  # losses of a single center at the origin
-        np.array([lambda_at(weights, max(s, 1)) for s in range(t)]),
+        np.array([variance_weight(cfg, s) for s in range(t)]),
     )
     tgt = TargetDensity(
         lambda_at(cfg.schedule, t), ctx, PriorSpec.from_config(cfg), label_weighted=True

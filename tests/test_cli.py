@@ -33,6 +33,14 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def exit_code(argv):
+    """Exit status of ``jumpclust argv``: argparse usage errors raise SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestRun:
     def test_smoke_and_outputs(self, small_config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -136,6 +144,46 @@ class TestRun:
         ) == 0
         assert (out / "records.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_csv_blank_lines_skipped_and_short_rows_named(
+        self, command, small_config_path, tmp_path, capsys
+    ):
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--horizon", "6", "--seed", "3", "--out", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:]) + "\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        step = ["--step", "6"] if command == "trace" else []
+        codes = {}
+        for src in (data, blank, short, empty):
+            out = tmp_path / f"out-{src.stem}"
+            argv = [command, "--config", small_config_path, "--data", str(src), "--out", str(out)]
+            codes[src.stem] = main(argv + step)
+        assert codes == {"data": 0, "blank": 0, "short": 2, "empty": 2}
+        err = capsys.readouterr().err
+        assert "short.csv: line 5 has 3 fields" in err
+        assert "no coordinate columns" in err
+        plain, skipped = tmp_path / "out-data", tmp_path / "out-blank"
+        written = sorted(f.name for f in plain.iterdir())
+        assert written == sorted(f.name for f in skipped.iterdir())
+        for name in written:
+            assert (skipped / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_malformed_config_is_reported(self, tmp_path, capsys):
+        bad_fields = ({"schedule": "anytime"}, {"kmeans": {"restart": 3}}, {"schedule": {"x": 1}})
+        for bad in bad_fields:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"dim": 2, "max_clusters": 4, "radius": 12.0, **bad}))
+            out = tmp_path / "out"
+            assert main(["run", "--config", str(path), "--synthetic", "sine_drift",
+                         "--horizon", "3", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("jumpclust: ")
+            assert not out.exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config"])  # missing value
@@ -235,15 +283,16 @@ class TestGenerate:
 
 class TestOracleCheck:
     def test_refuses_large_instances(self, capsys):
-        assert main(["oracle-check", "--max-clusters", "5"]) == 1
+        assert exit_code(["oracle-check", "--max-clusters", "5"]) == 1
+        assert exit_code(["oracle-check", "--dim", "3"]) == 1
 
     @pytest.mark.parametrize(
         "iters, burn_in", [("100", "100"), ("100", "250"), ("100", "-1"), ("0", "0")]
     )
     def test_rejects_burn_in_outside_iters(self, iters, burn_in, capsys):
-        assert main(["oracle-check", "--iters", iters, "--burn-in", burn_in]) == 1
+        assert exit_code(["oracle-check", "--iters", iters, "--burn-in", burn_in]) == 1
         captured = capsys.readouterr()
-        assert "--burn-in" in captured.err
+        assert ("--iters" if iters == "0" else "--burn-in") in captured.err
         assert "total variation" not in captured.out
 
     def test_prior_only_quick(self, capsys):
@@ -254,3 +303,38 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "total variation" in out
         assert code == 0
+
+
+class TestRangesAtParseTime:
+    """An out-of-range integer flag is a usage error (exit 1) before any work."""
+
+    REPLICATE = ["replicate", "--reps", "1", "--horizon", "3", "--chain-length", "5",
+                 "--ocl-restarts", "2", "--out", "OUT"]
+    ORACLE = ["oracle-check", "--iters", "2000", "--burn-in", "0"]
+    STREAM = ["--config", "CFG", "--synthetic", "sine_drift", "--horizon", "3", "--out", "OUT"]
+    CASES = {
+        "replicate-regret-every": REPLICATE + ["--regret-every", "0"],
+        "replicate-ocl-restarts": REPLICATE + ["--ocl-restarts", "0"],
+        "replicate-reps": REPLICATE + ["--reps", "0"],
+        "replicate-chain-length": REPLICATE + ["--chain-length", "0"],
+        "oracle-resolution-1": ORACLE + ["--resolution", "1"],
+        "oracle-resolution-0": ORACLE + ["--resolution", "0"],
+        "oracle-seed": ORACLE + ["--seed", "-1"],
+        "run-horizon": ["run"] + STREAM + ["--horizon", "0"],
+        "run-rep": ["run"] + STREAM + ["--rep", "-1"],
+        "run-trace-step": ["run"] + STREAM + ["--trace-step", "0"],
+        "trace-step": ["trace"] + STREAM + ["--step", "0"],
+        "generate-horizon": ["generate", "--horizon", "0", "--out", "OUT/stream.csv"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_1_before_any_work(self, case, small_config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [
+            a.replace("OUT", str(out)).replace("CFG", small_config_path) for a in self.CASES[case]
+        ]
+        assert exit_code(argv) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "must be >=" in captured.err
+        assert "total variation" not in captured.out

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -133,6 +134,65 @@ class TestConfigFile:
     def test_missing_required_field(self):
         with pytest.raises(ValueError, match="missing required"):
             load_config({"dim": 2, "max_clusters": 3})
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            StreamConfig(dim=2, max_clusters=3, radius=2.0,
+                         schedule=TemperatureSchedule.fixed(0.7)),
+            StreamConfig(dim=2, max_clusters=3, radius=2.0,
+                         schedule=TemperatureSchedule.with_horizon(2, 2.0, 50)),
+            StreamConfig(dim=1, max_clusters=5, radius=3.0, decay=0.4,
+                         schedule=TemperatureSchedule.anytime(1, 3.0)),
+            StreamConfig(dim=3, max_clusters=4, radius=15.0, label_correction=True,
+                         kmeans=KMeansConfig(restarts=2, max_iter=7, tol=0.0)),
+            StreamConfig(dim=2, max_clusters=3, radius=2.0, seed=5,
+                         schedule=TemperatureSchedule.inverse_sqrt()),
+            StreamConfig(dim=2, max_clusters=3, radius=2.0, chain_length=9,
+                         schedule=TemperatureSchedule.custom([1.0, 0.5, 0.25])),
+            StreamConfig(dim=2, max_clusters=6, radius=math.inf, prior_kind="student",
+                         prior_scale=5.0, schedule=TemperatureSchedule.inverse_sqrt()),
+        ],
+        ids=["fixed", "horizon", "anytime", "default", "inverse_sqrt", "custom", "student_inf"],
+    )
+    def test_dump_load_round_trip(self, cfg):
+        assert load_config(dump_config(cfg)) == cfg
+        text = json.dumps(dump_config(cfg))
+        assert load_config(io.StringIO(text)) == cfg
+        assert json.dumps(dump_config(load_config(json.loads(text)))) == text
+
+    def test_defaults_nulls_and_numbers(self):
+        cfg = load_config(
+            {"dim": 2, "max_clusters": 3, "radius": 15, "schedule": {}, "kmeans": None,
+             "decay": None}
+        )
+        assert cfg == StreamConfig(dim=2, max_clusters=3, radius=15.0)
+        assert type(cfg.radius) is float and cfg.schedule.kind == "default"
+        assert load_config({"dim": 2, "max_clusters": 3, "radius": 2, "schedule": None}) == (
+            StreamConfig(dim=2, max_clusters=3, radius=2.0)
+        )
+
+    @pytest.mark.parametrize(
+        "nested, match",
+        [
+            ({"schedule": {"kind": "anytime", "bogus": 1}}, "unknown config fields.*schedule.bogus"),
+            ({"kmeans": {"restart": 3}}, "unknown config fields.*kmeans.restart"),
+            ({"schedule": "anytime"}, "'schedule' must be a JSON object"),
+            ({"kmeans": [3, 100]}, "'kmeans' must be a JSON object"),
+            ({"schedule": {"kind": "custom", "values": 0.5}}, "invalid config field 'schedule'"),
+            ({"schedule": {"kind": "fixed", "value": "hot"}}, "'schedule.value' must be of"),
+            ({"kmeans": {"restarts": 2.5}}, "'kmeans.restarts' must be of type int"),
+            ({"dim": "2"}, "'dim' must be of type int"),
+            ({"label_correction": "false"}, "'label_correction' must be of type bool"),
+        ],
+        ids=["schedule-unknown-key", "kmeans-unknown-key", "schedule-not-object",
+             "kmeans-not-object", "values-not-a-list", "value-not-a-number",
+             "restarts-not-an-int", "dim-a-string", "bool-a-string"],
+    )
+    def test_malformed_values_raise_value_error(self, nested, match):
+        raw = {"dim": 2, "max_clusters": 3, "radius": 1.0, **nested}
+        with pytest.raises(ValueError, match=match):
+            load_config(raw)
 
 
 class TestRunRecord:

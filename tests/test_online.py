@@ -13,7 +13,7 @@ from jumpclust.online import (
     run_stream,
     run_synthetic,
     run_synthetic_repetitions,
-    variance_weight_schedule,
+    variance_weight,
 )
 
 
@@ -69,12 +69,13 @@ class TestTemperatureSchedule:
             TemperatureSchedule.anytime(2, math.inf).resolve(2, math.inf)
 
     def test_variance_weights_follow_schedule_except_default(self):
-        cfg = StreamConfig(dim=2, max_clusters=3, radius=2.0,
-                           schedule=TemperatureSchedule.fixed(0.7), chain_length=5)
-        assert variance_weight_schedule(cfg) is cfg.schedule
+        ts = range(6)
+        cfg = StreamConfig(dim=2, max_clusters=3, radius=2.0, chain_length=5,
+                           schedule=TemperatureSchedule.custom([2.0 / (t + 1) for t in ts]))
+        assert [variance_weight(cfg, t) for t in ts] == [lambda_at(cfg.schedule, t) for t in ts]
         cfg2 = StreamConfig(dim=2, max_clusters=3, radius=2.0, chain_length=5)  # default kind
-        ws = variance_weight_schedule(cfg2)
-        assert ws.kind == "anytime" and ws.radius == 2.0
+        anytime = TemperatureSchedule.anytime(2, 2.0)
+        assert [variance_weight(cfg2, t) for t in ts] == [lambda_at(anytime, max(t, 1)) for t in ts]
 
 
 def small_config(**over):
