@@ -36,7 +36,7 @@ from .proposals import (
     student_log_density,
     student_sample,
 )
-from .chain import ChainState, ChainTrace, acceptance_log_prob, propose_dimension, run_chain, step
+from .chain import ChainState, ChainTrace, acceptance_log_prob, run_chain, step
 from .online import (
     TemperatureSchedule,
     lambda_at,

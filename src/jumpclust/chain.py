@@ -12,45 +12,61 @@ the acceptance probability reduces to
                      + [log q_prop(c | k) - log q_prop(c' | k')])
 
 computed entirely in log space.  Within-model moves (k'=k) use the same
-formula.  Each state carries both of its log-densities, so a move evaluates
-them for the candidate only, on the raw draw: a state's coordinates become
-a validated :class:`Centers` only when ``ChainState.centers`` is read.
+formula.
+
+Candidates do not depend on the chain's history, so they are drawn ahead,
+per k, into an append-only pool of i.i.d. draws evaluated in batched chunks;
+each draw is used at most once, so the chain stays exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
-from .core import Centers, clip_to_ball
+from .core import Centers, clip_to_ball, seeded_rng
 from .posterior import TargetDensity, log_target
-from .proposals import ProposalParams, StepProposals, student_log_density, student_sample
+from .proposals import StepProposals, student_log_density, student_sample
 
 __all__ = [
     "ChainState",
     "ChainTrace",
-    "propose_dimension",
+    "CandidateSupply",
     "acceptance_log_prob",
     "step",
     "run_chain",
     "initial_state",
 ]
 
+# rows of a pool's first chunk; later chunks double up to the cap, which bounds
+# the batched score's (rows, k, d, t) temporary
+_POOL_FIRST = 16
+_POOL_CAP = 64
+# one chain draw per iteration, uniform on [0, 3 * 2**50): its residue mod 3
+# gives the dimension offset (exactly 1/3 each of -1, 0, +1) and its
+# quotient, times 2**-50, the acceptance uniform
+_DRAW_RANGE = 3 << 50
+
 
 @dataclass(frozen=True, eq=False)
 class ChainState:
     """A center vector with its log-target and its proposal log-density.
 
-    ``points`` is the read-only (k, d) array of coordinates;
-    ``log_proposal`` is the density of the step's k-block proposal at
-    ``points``; both values are computed once, when the state is built.
+    ``points`` is the read-only (k, d) array of coordinates; ``log_proposal``
+    is the density of the step's k-block proposal at ``points``.  A state
+    returned by :func:`run_chain` also carries the run's candidate ``supply``
+    and, per k, the (chunk, row) ``cursors`` of the next unused candidate,
+    which a run continued from it takes up; neither enters ==.
     """
 
     points: np.ndarray
     log_density: float
     log_proposal: float
+    supply: Optional[CandidateSupply] = field(default=None, repr=False)
+    cursors: tuple = field(default=(), repr=False)
 
     @property
     def k(self) -> int:
@@ -105,13 +121,32 @@ class ChainTrace:
         )
 
 
-def propose_dimension(k: int, p: int, rng) -> int:
-    """Draw k' in {k-1, k, k+1} with probability 1/3 each; out-of-range
-    candidates become k, preserving symmetry of the feasible pairs."""
-    if not 1 <= k <= p:
-        raise ValueError(f"k={k} outside {{1..{p}}}")
-    cand = k - 1 + int(rng.integers(0, 3))
-    return cand if 1 <= cand <= p else k
+class CandidateSupply:
+    """Pre-evaluated independence candidates of one (target, proposals) pair.
+
+    ``chunks[k]`` is the append-only list of (points, log_density,
+    log_proposal) chunks of k-block proposal draws: a read-only (n, k, d)
+    stack and its two (n,) density arrays.  Pool k has its own generator,
+    seeded from (seed, k), and chunk sizes that depend on the chunk count
+    only, so its rows do not depend on who asks for them.
+    """
+
+    def __init__(self, tgt: TargetDensity, proposals: StepProposals, seed: int):
+        self.tgt, self.proposals, self.seed = tgt, proposals, seed
+        self.chunks = [[] for _ in range(proposals.max_clusters + 1)]
+        self._rngs = {}
+
+    def refill(self, k: int) -> None:
+        """Append pool k's next chunk, each density evaluated in one batched call."""
+        chunks = self.chunks[k]
+        if not chunks:
+            self._rngs[k] = seeded_rng(self.seed, k)
+        params = self.proposals.params(k)
+        points = student_sample(params, min(_POOL_CAP, _POOL_FIRST << len(chunks)), self._rngs[k])
+        if not np.isfinite(points).all():
+            raise ValueError("candidate centers must have finite coordinates")
+        points.flags.writeable = False
+        chunks.append((points, log_target(points, self.tgt), student_log_density(points, params)))
 
 
 def acceptance_log_prob(current: ChainState, candidate: ChainState) -> float:
@@ -133,51 +168,58 @@ def acceptance_log_prob(current: ChainState, candidate: ChainState) -> float:
     return min(0.0, delta)
 
 
-def _state(points: np.ndarray, tgt: TargetDensity, params: ProposalParams) -> ChainState:
-    """The state at a (k, d) array, which is made read-only."""
-    if not np.isfinite(points).all():
-        raise ValueError("centers must have finite coordinates")
-    points.flags.writeable = False
-    return ChainState(points, log_target(points, tgt), student_log_density(points, params))
-
-
-def step(state: ChainState, tgt: TargetDensity, proposals: StepProposals, rng):
-    """One Metropolis-Hastings move.  Returns (new_state, (k', alpha, accepted))."""
-    k_prop = propose_dimension(state.k, proposals.max_clusters, rng)
-    params = proposals.params(k_prop)
-    candidate = _state(student_sample(params, rng), tgt, params)
+def step(state: ChainState, candidate: ChainState, u: float):
+    """One Metropolis-Hastings move to a pre-evaluated candidate, accepted when
+    the uniform ``u`` falls below alpha.  Returns (new_state, (k', alpha, accepted))."""
     alpha = math.exp(acceptance_log_prob(state, candidate))
-    accepted = rng.random() < alpha
-    return (candidate if accepted else state), (k_prop, alpha, accepted)
+    accepted = u < alpha
+    return (candidate if accepted else state), (candidate.k, alpha, accepted)
 
 
 def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: StepProposals, rng):
-    """Run ``n_steps`` moves from ``init``; returns (final_state, trace)."""
+    """Run ``n_steps`` moves from ``init``; returns (final_state, trace).
+
+    A run takes up the candidate supply ``init`` carries if it was built for
+    this ``tgt`` and ``proposals``, and otherwise seeds one from ``rng``;
+    then ``rng`` gives one draw per iteration.  So a run in blocks, each
+    continuing from the last one's state with the same ``rng``, equals one run.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not math.isfinite(init.log_density):
         raise ValueError("initial chain state lies outside the target support")
-    k_proposed = np.empty(n_steps, dtype=int)
-    alpha = np.empty(n_steps, dtype=float)
-    accepted = np.empty(n_steps, dtype=bool)
-    k_current = np.empty(n_steps, dtype=int)
-    state = init
-    for i in range(n_steps):
-        state, (kp, a, acc) = step(state, tgt, proposals, rng)
-        k_proposed[i] = kp
-        alpha[i] = a
-        accepted[i] = acc
-        k_current[i] = state.k
-    trace = ChainTrace(k_proposed, alpha, accepted, k_current)
-    return state, trace
+    p = proposals.max_clusters
+    if not 1 <= init.k <= p:
+        raise ValueError(f"k={init.k} outside {{1..{p}}}")
+    supply, cursors = init.supply, list(init.cursors)
+    if supply is None or supply.tgt is not tgt or supply.proposals is not proposals:
+        supply = CandidateSupply(tgt, proposals, int(rng.integers(2**63)))
+        cursors = [(0, 0)] * (p + 1)
+    v = rng.integers(0, _DRAW_RANGE, size=n_steps)
+    offsets, uniforms = (v % 3 - 1).tolist(), ((v // 3) * 2.0**-50).tolist()
+    pools = supply.chunks
+    state, k, rows = init, init.k, []
+    for offset, u in zip(offsets, uniforms):
+        kp = k + offset if 1 <= k + offset <= p else k
+        pool, (c, r) = pools[kp], cursors[kp]
+        if c == len(pool):
+            supply.refill(kp)
+        points, log_density, log_proposal = pool[c]
+        cursors[kp] = (c, r + 1) if r + 1 < len(points) else (c + 1, 0)
+        candidate = ChainState(points[r], log_density.item(r), log_proposal.item(r))
+        state, (_, a, acc) = step(state, candidate, u)
+        k = kp if acc else k
+        rows.append((kp, a, acc, k))
+    trace = ChainTrace(*map(np.array, zip(*rows)))  # rows are (k', alpha, accepted, k)
+    return replace(state, supply=supply, cursors=tuple(cursors)), trace
 
 
 def initial_state(k0: int, tgt: TargetDensity, proposals: StepProposals) -> ChainState:
     """Warm-started state: the k0-means locations, projected just inside the
     support ball of radius 2R."""
     params = proposals.params(k0)
-    points = np.array(clip_to_ball(params.locations, 2.0 * tgt.prior.radius * (1 - 1e-9)))
-    state = _state(points, tgt, params)
+    c = Centers(clip_to_ball(params.locations, 2.0 * tgt.prior.radius * (1 - 1e-9)))
+    state = ChainState(c.points, log_target(c, tgt), student_log_density(c, params))
     if not math.isfinite(state.log_density):
         raise ValueError("warm-start state has zero target density")
     return state

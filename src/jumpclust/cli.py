@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -68,16 +69,19 @@ class CliError(RuntimeError):
     pass
 
 
-def _int_from(lo: int):
-    """argparse ``type=`` for an integer flag whose values start at ``lo``."""
+def _in_range(kind, lo, hi=math.inf, lo_open=False):
+    """argparse ``type=`` for an int or float flag in [lo, hi], or (lo, hi]
+    when ``lo_open``; NaN and infinities fail the comparisons and are refused."""
+    rule = f"{'>' if lo_open else '>='} {lo:g}" + (" and finite" if kind is float else "")
+    rule = rule if math.isinf(hi) else f"in {'(' if lo_open else '['}{lo:g}, {hi:g}]"
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ((lo < value if lo_open else lo <= value) and value <= hi and value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
 
     return parse
@@ -136,8 +140,8 @@ def _add_stream_args(p: _Parser):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="input stream CSV (columns x1..xd, optional k_true)")
     src.add_argument("--synthetic", choices=["sine_drift"], help="generate the stream instead")
-    p.add_argument("--horizon", type=_int_from(1), default=200, help="steps for --synthetic")
-    p.add_argument("--data-seed", type=_int_from(0), default=0, help="seed for --synthetic data")
+    p.add_argument("--horizon", type=_in_range(int, 1), default=200, help="steps for --synthetic")
+    p.add_argument("--data-seed", type=_in_range(int, 0), default=0, help="seed for --synthetic data")
 
 
 # --- run --------------------------------------------------------------------
@@ -374,7 +378,7 @@ def _cmd_oracle_check(args) -> int:
     )
     state0 = initial_state(1, tgt, proposals)
     chain_rng = seeded_rng(args.seed, (_CHAIN_STREAM, 0))
-    _, trace = run_chain(state0, args.iters, tgt, proposals, chain_rng)
+    trace = run_chain(state0, args.iters, tgt, proposals, chain_rng)[1]
     ks = trace.k_current[args.burn_in :]
     empirical = np.bincount(ks, minlength=args.max_clusters + 1)[1:] / ks.shape[0]
 
@@ -397,23 +401,23 @@ def build_parser() -> _Parser:
     run.add_argument("--config", required=True, help="JSON config file")
     _add_stream_args(run)
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", type=_int_from(0), default=None, help="override the config seed")
-    run.add_argument("--rep", type=_int_from(0), default=0, help="repetition index (stream id)")
+    run.add_argument("--seed", type=_in_range(int, 0), default=None, help="override the config seed")
+    run.add_argument("--rep", type=_in_range(int, 0), default=0, help="repetition index (stream id)")
     run.add_argument("--radius-auto", action="store_true",
                      help="set the radius to the max observed |x|_2 before running")
-    run.add_argument("--trace-step", type=_int_from(1), action="append",
+    run.add_argument("--trace-step", type=_in_range(int, 1), action="append",
                      help="record the sampler trace at this step (repeatable)")
     run.add_argument("--overwrite", action="store_true")
     run.set_defaults(fn=_cmd_run)
 
     rep = sub.add_parser("replicate", help="drifting-groups accuracy benchmark")
-    rep.add_argument("--reps", type=_int_from(1), default=20)
-    rep.add_argument("--horizon", type=_int_from(1), default=200)
-    rep.add_argument("--chain-length", type=_int_from(1), default=500)
-    rep.add_argument("--seed", type=_int_from(0), default=0)
-    rep.add_argument("--regret-every", type=_int_from(1), default=10,
+    rep.add_argument("--reps", type=_in_range(int, 1), default=20)
+    rep.add_argument("--horizon", type=_in_range(int, 1), default=200)
+    rep.add_argument("--chain-length", type=_in_range(int, 1), default=500)
+    rep.add_argument("--seed", type=_in_range(int, 0), default=0)
+    rep.add_argument("--regret-every", type=_in_range(int, 1), default=10,
                      help="step spacing of the regret summary rows")
-    rep.add_argument("--ocl-restarts", type=_int_from(1), default=50)
+    rep.add_argument("--ocl-restarts", type=_in_range(int, 1), default=50)
     rep.add_argument("--out", required=True)
     rep.add_argument("--overwrite", action="store_true")
     rep.set_defaults(fn=_cmd_replicate)
@@ -421,8 +425,8 @@ def build_parser() -> _Parser:
     tr = sub.add_parser("trace", help="export one step's sampler trace")
     tr.add_argument("--config", required=True)
     _add_stream_args(tr)
-    tr.add_argument("--step", type=_int_from(1), required=True, help="1-based observation index")
-    tr.add_argument("--rep", type=_int_from(0), default=0)
+    tr.add_argument("--step", type=_in_range(int, 1), required=True, help="1-based observation index")
+    tr.add_argument("--rep", type=_in_range(int, 0), default=0)
     tr.add_argument("--out", required=True)
     tr.add_argument("--overwrite", action="store_true")
     tr.set_defaults(fn=_cmd_trace)
@@ -444,8 +448,8 @@ def build_parser() -> _Parser:
 
     ge = sub.add_parser("generate", help="emit a synthetic stream as CSV")
     ge.add_argument("--model", choices=["sine_drift"], default="sine_drift")
-    ge.add_argument("--horizon", type=_int_from(1), default=200)
-    ge.add_argument("--seed", type=_int_from(0), default=0)
+    ge.add_argument("--horizon", type=_in_range(int, 1), default=200)
+    ge.add_argument("--seed", type=_in_range(int, 0), default=0)
     ge.add_argument("--out", default=None, help="output CSV (default: stdout)")
     ge.add_argument("--overwrite", action="store_true")
     ge.set_defaults(fn=_cmd_generate)
@@ -453,17 +457,17 @@ def build_parser() -> _Parser:
     oc = sub.add_parser("oracle-check", help="sampler vs grid oracle on a toy instance")
     oc.add_argument("--dim", type=int, choices=[1, 2], default=1)
     oc.add_argument("--max-clusters", type=int, choices=[1, 2, 3], default=3)
-    oc.add_argument("--radius", type=float, default=1.0)
-    oc.add_argument("--eta", type=float, default=0.3)
-    oc.add_argument("--lam", type=float, default=None,
+    oc.add_argument("--radius", type=_in_range(float, 0, lo_open=True), default=1.0)
+    oc.add_argument("--eta", type=_in_range(float, 0), default=0.3)
+    oc.add_argument("--lam", type=_in_range(float, 0), default=None,
                     help="target temperature (default: anytime value at t=3)")
     oc.add_argument("--prior-only", action="store_true",
                     help="check against the prior itself (temperature 0)")
-    oc.add_argument("--iters", type=_int_from(1), default=100_000)
-    oc.add_argument("--burn-in", type=_int_from(0), default=2_000)
-    oc.add_argument("--resolution", type=_int_from(2), default=200)
-    oc.add_argument("--tv-limit", type=float, default=0.05)
-    oc.add_argument("--seed", type=_int_from(0), default=0)
+    oc.add_argument("--iters", type=_in_range(int, 1), default=100_000)
+    oc.add_argument("--burn-in", type=_in_range(int, 0), default=2_000)
+    oc.add_argument("--resolution", type=_in_range(int, 2), default=200)
+    oc.add_argument("--tv-limit", type=_in_range(float, 0, 1, lo_open=True), default=0.05)
+    oc.add_argument("--seed", type=_in_range(int, 0), default=0)
     oc.set_defaults(fn=_cmd_oracle_check)
 
     return p

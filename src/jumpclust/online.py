@@ -38,7 +38,11 @@ __all__ = [
     "run_synthetic_repetitions",
 ]
 
-_KINDS = ("fixed", "horizon", "anytime", "default", "inverse_sqrt", "custom")
+# the optional fields each schedule kind reads
+_KIND_FIELDS = {
+    "fixed": ("value",), "horizon": ("horizon", "dim", "radius"), "anytime": ("dim", "radius"),
+    "default": ("dim",), "inverse_sqrt": (), "custom": ("values",),
+}
 
 # stream-id namespaces hung off the master seed
 _INIT_STREAM = 1
@@ -75,8 +79,11 @@ class TemperatureSchedule:
     radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("value", "horizon", "values", "dim", "radius"):
+            if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} schedule does not read field {name!r}")
         if self.kind == "fixed":
             if self.value is None or self.value <= 0:
                 raise ValueError("fixed schedule needs value > 0")
@@ -117,20 +124,15 @@ class TemperatureSchedule:
 
     def resolve(self, dim: int, radius: float) -> "TemperatureSchedule":
         """Fill dimension/radius from the run configuration where missing."""
-        out = self
-        if self.kind in ("horizon", "anytime", "default") and self.dim is None:
-            out = replace(out, dim=dim)
-        if self.kind in ("horizon", "anytime") and out.radius is None:
+        reads = _KIND_FIELDS[self.kind]
+        out = replace(self, dim=dim) if "dim" in reads and self.dim is None else self
+        if "radius" in reads and out.radius is None:
             out = replace(out, radius=radius)
-        if out.kind in ("horizon", "anytime"):
-            if out.dim is None or out.radius is None:
-                raise ValueError(f"{out.kind} schedule needs dim and radius")
-            if math.isinf(out.radius):
-                raise ValueError(f"{out.kind} schedule needs a finite radius")
-            if out.kind == "horizon" and out.horizon is None:
-                raise ValueError("horizon schedule needs its horizon")
-        if out.kind == "default" and out.dim is None:
-            raise ValueError("default schedule needs dim")
+        missing = [name for name in reads if getattr(out, name) is None]
+        if missing:
+            raise ValueError(f"{out.kind} schedule needs {' and '.join(missing)}")
+        if "radius" in reads and math.isinf(out.radius):
+            raise ValueError(f"{out.kind} schedule needs a finite radius")
         return out
 
 
@@ -139,23 +141,19 @@ def lambda_at(schedule: TemperatureSchedule, t: int) -> float:
     if t < 0:
         raise ValueError("t must be >= 0")
     kind = schedule.kind
+    if any(getattr(schedule, name) is None for name in _KIND_FIELDS[kind]):
+        raise ValueError(f"{kind} schedule is unresolved")
     if kind == "fixed":
         return schedule.value
     if kind == "horizon":
-        if schedule.horizon is None or schedule.dim is None or schedule.radius is None:
-            raise ValueError("horizon schedule is unresolved")
         if t > schedule.horizon:
             raise ValueError(f"t={t} exceeds the declared horizon {schedule.horizon}")
         return (schedule.dim + 2) / (2.0 * math.sqrt(schedule.horizon) * schedule.radius**2)
     if kind == "anytime":
-        if schedule.dim is None or schedule.radius is None:
-            raise ValueError("anytime schedule is unresolved")
         if t == 0:
             return 1.0
         return (schedule.dim + 2) / (2.0 * math.sqrt(t) * schedule.radius**2)
     if kind == "default":
-        if schedule.dim is None:
-            raise ValueError("default schedule is unresolved")
         if t == 0:
             return 1.0
         return 0.6 * (schedule.dim + 2) / (2.0 * math.sqrt(t))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple
+from typing import Dict
 
 import numpy as np
 
@@ -72,34 +72,29 @@ class TargetDensity:
         return cls(0.0, ScoreContext.empty(prior.dim), prior)
 
 
-class _Coordinates(NamedTuple):
-    """A (k, d) array read as a center vector without the checks
-    :class:`Centers` runs; the sampler passes finite, read-only draws."""
+def log_target(c, tgt: TargetDensity):
+    """Unnormalized log-density of the target; -inf outside the prior support.
 
-    points: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-def log_target(c, tgt: TargetDensity) -> float:
-    """Unnormalized log-density of the target at c; -inf outside the prior support.
-
-    ``c`` is a :class:`Centers` or a (k, d) array of center coordinates.
+    ``c`` is one :class:`Centers` (a float, through :func:`log_prior` and
+    :func:`score`) or a (n, k, d) stack of same-k center vectors (an (n,)
+    array, through the batch evaluations; row i equals row i alone).
     """
-    if not isinstance(c, Centers):
-        c = _Coordinates(c)
-    lp = log_prior(c, tgt.prior)
-    if lp == -math.inf:
-        return -math.inf
-    out = lp if (tgt.lam == 0.0 or tgt.ctx.t == 0) else lp - tgt.lam * score(c, tgt.ctx)
+    if isinstance(c, Centers):
+        lp = log_prior(c, tgt.prior)
+        if lp == -math.inf:
+            return -math.inf
+        out = lp if (tgt.lam == 0.0 or tgt.ctx.t == 0) else lp - tgt.lam * score(c, tgt.ctx)
+        if tgt.label_weighted:
+            out += math.lgamma(c.k + 1)
+        return out
+    points = np.asarray(c, dtype=float)
+    if points.ndim != 3 or points.shape[2] != tgt.prior.dim:
+        raise ValueError(f"need an (n, k, d) stack, dimension d={tgt.prior.dim}: {points.shape}")
+    out = log_prior_batch(points, tgt.prior)
+    if tgt.lam != 0.0 and tgt.ctx.t > 0:
+        out = out - tgt.lam * score_batch(points, tgt.ctx)
     if tgt.label_weighted:
-        out += math.lgamma(c.k + 1)
+        out += math.lgamma(points.shape[1] + 1)
     return out
 
 
@@ -181,12 +176,7 @@ def grid_oracle(tgt: TargetDensity, resolution: int) -> GridOracle:
             cells = np.unravel_index(np.arange(start, stop), (b,) * k)
             idx = np.stack(cells, axis=1)  # (cells, k)
             pts = block_pts[idx]  # (cells, k, d)
-            logdens = log_prior_batch(pts, spec)
-            if tgt.lam > 0.0 and tgt.ctx.t > 0:
-                logdens = logdens - tgt.lam * score_batch(pts, tgt.ctx)
-            if tgt.label_weighted:
-                logdens = logdens + math.lgamma(k + 1)
-            logs[start:stop] = logdens + log_block_vols[idx].sum(axis=1)
+            logs[start:stop] = log_target(pts, tgt) + log_block_vols[idx].sum(axis=1)
         slice_logs[k] = logs
 
     peak = max(float(v.max()) for v in slice_logs.values())

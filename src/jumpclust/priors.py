@@ -98,10 +98,11 @@ def _outside_support(sq_norms: np.ndarray, radius: float) -> np.ndarray:
     return sq_norms > (2.0 * radius) ** 2
 
 
-def sample_student_blocks(k: int, dim: int, tau: float, loc: np.ndarray | float, rng) -> np.ndarray:
-    """Draw k independent blocks of the 3-dof heavy-tailed family, scale tau."""
-    g = rng.standard_normal((k, dim))
-    w = rng.chisquare(3, size=(k, 1))
+def sample_student_blocks(shape: tuple, dim: int, tau: float, loc, rng) -> np.ndarray:
+    """Draw a ``shape`` array of independent blocks of the 3-dof heavy-tailed
+    family, scale tau: the result has shape ``shape + (dim,)``."""
+    g = rng.standard_normal((*shape, dim))
+    w = rng.chisquare(3, size=(*shape, 1))
     return np.asarray(loc, dtype=float) + math.sqrt(2.0) * tau * g / np.sqrt(w / 3.0)
 
 
@@ -128,7 +129,7 @@ def estimate_truncation_prob(dim: int, radius: float, scale: float) -> Truncatio
     chunk = 200_000
     for done in range(0, _TRUNC_SAMPLES, chunk):
         m = min(chunk, _TRUNC_SAMPLES - done)
-        draws = sample_student_blocks(m, dim, scale, 0.0, rng)
+        draws = sample_student_blocks((m,), dim, scale, 0.0, rng)
         outside = _outside_support(np.einsum("ij,ij->i", draws, draws), radius)
         inside += m - int(np.count_nonzero(outside))
     prob = inside / _TRUNC_SAMPLES
@@ -147,8 +148,6 @@ class PriorSpec:
     decay: float = 0.0
     scale: float = 1.0  # student only
     trunc: Optional[TruncationEstimate] = field(init=False, default=None)  # student only
-    # per k in 1..p: (log q(k), k * block_log_norm()), the constants every evaluation adds
-    k_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("uniform", "student"):
@@ -167,9 +166,6 @@ class PriorSpec:
             object.__setattr__(
                 self, "trunc", estimate_truncation_prob(self.dim, self.radius, self.scale)
             )
-        block = self.block_log_norm()
-        log_qs = enumerate(_log_q_table(self.max_clusters, self.decay), start=1)
-        object.__setattr__(self, "k_terms", tuple((float(lq), k * block) for k, lq in log_qs))
 
     @classmethod
     def from_config(cls, cfg) -> "PriorSpec":
@@ -210,7 +206,7 @@ def log_prior_batch(points: np.ndarray, spec: PriorSpec) -> np.ndarray:
     n, k, _ = points.shape
     if not 1 <= k <= spec.max_clusters:
         raise ValueError(f"k={k} outside {{1..{spec.max_clusters}}}")
-    lq, k_block = spec.k_terms[k - 1]
+    lq, k_block = log_q(k, spec.max_clusters, spec.decay), k * spec.block_log_norm()
     norms2 = np.einsum("nkd,nkd->nk", points, points)
     if spec.kind == "student":
         # in place, in the float order log q + (k * constant + shape) the sampler has always used
@@ -236,7 +232,7 @@ def sample_prior(spec: PriorSpec, rng) -> Centers:
     rows = np.empty((k, spec.dim))
     filled = 0
     while filled < k:
-        cand = sample_student_blocks(k - filled, spec.dim, spec.scale, 0.0, rng)
+        cand = sample_student_blocks((k - filled,), spec.dim, spec.scale, 0.0, rng)
         keep = ~_outside_support(np.einsum("ij,ij->i", cand, cand), spec.radius)
         m = int(keep.sum())
         if m:

@@ -12,7 +12,7 @@ dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -38,7 +38,6 @@ class ProposalParams:
 
     locations: np.ndarray  # (k, d)
     tau: float
-    log_norm: float = field(init=False)  # k * student_block_log_norm(d, tau), all k blocks
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
@@ -47,8 +46,6 @@ class ProposalParams:
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
         object.__setattr__(self, "locations", loc)
-        k, dim = loc.shape
-        object.__setattr__(self, "log_norm", k * student_block_log_norm(dim, self.tau))
 
     @property
     def k(self) -> int:
@@ -59,30 +56,28 @@ class ProposalParams:
         return self.locations.shape[1]
 
 
-def _points_of(c) -> np.ndarray:
-    return c.points if isinstance(c, Centers) else np.asarray(c, dtype=float)
-
-
-def student_log_density(c, params: ProposalParams) -> float:
-    """Exact log-density of the k-block proposal at center vector c.
+def student_log_density(c, params: ProposalParams):
+    """Exact log-density of the k-block proposal.
 
     Each block is a d-variate Student distribution with 3 degrees of
     freedom, location params.locations[j] and scale matrix 2*tau^2*I,
-    including its closed-form normalizing constant.
+    including its closed-form normalizing constant.  ``c`` is one :class:`Centers`
+    (a float) or a (n, k, d) stack (an (n,) array; row i equals row i alone).
     """
-    pts = _points_of(c)
-    if pts.shape != params.locations.shape:
-        raise ValueError(
-            f"center shape {pts.shape} != proposal locations shape {params.locations.shape}"
-        )
+    one = isinstance(c, Centers)
+    pts = c.points[None] if one else np.asarray(c, dtype=float)
+    if pts.ndim != 3 or pts.shape[1:] != params.locations.shape:
+        raise ValueError(f"center shape {pts.shape[1:]} != proposal shape {params.locations.shape}")
     diff = pts - params.locations
-    shape_term = student_log_shape(np.einsum("kd,kd->k", diff, diff), params.dim, params.tau)
-    return params.log_norm + float(shape_term)
+    sq_dist = np.einsum("nkd,nkd->nk", diff, diff)
+    log_norm = params.k * student_block_log_norm(params.dim, params.tau)
+    out = log_norm + student_log_shape(sq_dist, params.dim, params.tau)
+    return float(out[0]) if one else out
 
 
-def student_sample(params: ProposalParams, rng) -> np.ndarray:
-    """Independent draw of all k blocks of the proposal, as a (k, d) array."""
-    return sample_student_blocks(params.k, params.dim, params.tau, params.locations, rng)
+def student_sample(params: ProposalParams, n: int, rng) -> np.ndarray:
+    """n independent draws of all k blocks of the proposal, as a (n, k, d) stack."""
+    return sample_student_blocks((n, params.k), params.dim, params.tau, params.locations, rng)
 
 
 def proposal_scale(p: int, t: int) -> float:

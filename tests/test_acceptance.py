@@ -4,7 +4,7 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 The replication benchmark (criteria 1-2) runs the CLI once per session
 with its reference settings: 20 repetitions of the 200-step drifting
 stream, 20 max clusters, radius 15, 500 sampler iterations per step and
-the radius-free practical temperature.  Expect several minutes; those two
+the radius-free practical temperature.  Expect about 95 s; those two
 criteria carry the ``slow`` marker, the others run in seconds.
 """
 

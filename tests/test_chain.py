@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -6,11 +5,10 @@ import pytest
 
 from jumpclust import chain
 from jumpclust.chain import (
+    CandidateSupply,
     ChainState,
-    ChainTrace,
     acceptance_log_prob,
     initial_state,
-    propose_dimension,
     run_chain,
     step,
 )
@@ -19,13 +17,7 @@ from jumpclust.datagen import SyntheticSpec, generate
 from jumpclust.online import lambda_at, variance_weight
 from jumpclust.posterior import TargetDensity, grid_oracle, log_target
 from jumpclust.priors import PriorSpec
-from jumpclust.proposals import (
-    ProposalParams,
-    StepProposals,
-    proposal_scale,
-    student_log_density,
-    student_sample,
-)
+from jumpclust.proposals import StepProposals, proposal_scale, student_log_density
 from jumpclust.scoring import ScoreContext
 
 
@@ -50,28 +42,61 @@ def toy_proposals(tgt, seed=5):
     )
 
 
+def flat_prior_moves(p, n, seed):
+    """(k before each move, proposed k', alpha, accepted) of an n-move chain on
+    the flat prior over p slices."""
+    prior = PriorSpec(kind="uniform", dim=1, max_clusters=p, radius=1.0, decay=0.0)
+    tgt = TargetDensity.prior_only(prior)
+    props = StepProposals(
+        np.zeros((0, 1)), tau=1.0, max_clusters=p, kmeans_cfg=KMeansConfig(),
+        rng_for_k=lambda k: seeded_rng(seed, (3, k)),
+    )
+    _, trace = run_chain(initial_state(1, tgt, props), n, tgt, props, seeded_rng(seed, 0))
+    before = np.concatenate([[1], trace.k_current[:-1]])
+    return before, trace.k_proposed, trace.alpha, trace.accepted
+
+
 class TestProposeDimension:
-    def test_interior_frequencies(self):
-        rng = seeded_rng(50, 0)
-        draws = np.array([propose_dimension(2, 5, rng) for _ in range(100_000)])
-        for v in (1, 2, 3):
-            assert abs((draws == v).mean() - 1 / 3) <= 0.01
+    """The vector rule, read off the chain's trace: k' = k + offset, the
+    offset uniform on {-1, 0, +1} and collapsed to k outside {1..p}."""
 
-    def test_lower_boundary_self_transition(self):
-        rng = seeded_rng(51, 0)
-        draws = np.array([propose_dimension(1, 5, rng) for _ in range(100_000)])
-        assert set(np.unique(draws)) == {1, 2}
-        assert abs((draws == 1).mean() - 2 / 3) <= 0.01
+    @pytest.fixture(scope="class")
+    def moves(self):
+        return flat_prior_moves(5, 80_000, 50)
 
-    def test_upper_boundary_self_transition(self):
-        rng = seeded_rng(52, 0)
-        draws = np.array([propose_dimension(4, 4, rng) for _ in range(50_000)])
-        assert set(np.unique(draws)) == {3, 4}
-        assert abs((draws == 4).mean() - 2 / 3) <= 0.015
+    def test_interior_frequencies(self, moves):
+        # v mod 3 for v uniform on exactly 3 * 2**50 integers: each offset has mass 1/3
+        assert chain._DRAW_RANGE == 3 * 2**50
+        before, proposed, _, _ = moves
+        interior = (before > 1) & (before < 5)
+        offsets = (proposed - before)[interior]
+        assert interior.sum() > 30_000
+        for v in (-1, 0, 1):
+            assert abs((offsets == v).mean() - 1 / 3) <= 0.01
+
+    def test_lower_boundary_self_transition(self, moves):
+        before, proposed, _, _ = moves
+        at_one = proposed[before == 1]
+        assert set(np.unique(at_one)) == {1, 2}
+        assert abs((at_one == 1).mean() - 2 / 3) <= 0.015
+
+    def test_upper_boundary_self_transition(self, moves):
+        before, proposed, _, _ = moves
+        at_top = proposed[before == 5]
+        assert set(np.unique(at_top)) == {4, 5}
+        assert abs((at_top == 5).mean() - 2 / 3) <= 0.015
 
     def test_single_dimension(self):
-        rng = seeded_rng(53, 0)
-        assert all(propose_dimension(1, 1, rng) == 1 for _ in range(100))
+        _, proposed, _, _ = flat_prior_moves(1, 100, 53)
+        assert set(proposed.tolist()) == {1}
+
+    def test_acceptance_uniforms(self, moves):
+        # accepted with probability alpha: u is uniform and independent of the candidate
+        _, _, alpha, accepted = moves
+        for lo, hi in ((0.0, 0.3), (0.3, 0.7), (0.7, 1.0)):
+            sel = (alpha > lo) & (alpha <= hi)
+            assert sel.sum() > 2_000
+            assert abs(accepted[sel].mean() - alpha[sel].mean()) <= 0.02
 
 
 def chain_state(c, tgt, params):
@@ -136,6 +161,26 @@ class TestAcceptance:
         assert la == pytest.approx(min(0.0, dens_ratio + prop_ratio), abs=1e-12)
 
 
+def pool_candidates(supply, k, n):
+    """The first n candidates of pool k, as the chain takes them."""
+    while sum(len(c[0]) for c in supply.chunks[k]) < n:
+        supply.refill(k)
+    return [
+        ChainState(pts[r], ld.item(r), lp.item(r))
+        for pts, ld, lp in supply.chunks[k]
+        for r in range(len(pts))
+    ][:n]
+
+
+def run_in_blocks(state, block, n, tgt, props, rng):
+    """run_chain over n iterations, ``block`` at a time, each block continuing the last."""
+    traces = []
+    for start in range(0, n, block):
+        state, trace = run_chain(state, min(block, n - start), tgt, props, rng)
+        traces.append(trace)
+    return state, traces
+
+
 class TestStepAndChain:
     def test_rejected_step_leaves_state_bit_identical(self):
         tgt = toy_target(lam=50.0)  # cold target: most moves rejected
@@ -143,8 +188,8 @@ class TestStepAndChain:
         state = initial_state(1, tgt, props)
         rng = seeded_rng(55, 0)
         saw_rejection = False
-        for _ in range(50):
-            new, (_, _, accepted) = step(state, tgt, props, rng)
+        for cand in pool_candidates(CandidateSupply(tgt, props, 55), 1, 50):
+            new, (_, _, accepted) = step(state, cand, rng.random())
             if not accepted:
                 saw_rejection = True
                 assert new is state
@@ -155,9 +200,11 @@ class TestStepAndChain:
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(1, tgt, props)
-        monkeypatch.setattr(chain, "student_sample", lambda params, rng: np.full((params.k, 1), np.nan))
+        monkeypatch.setattr(
+            chain, "student_sample", lambda params, n, rng: np.full((n, params.k, 1), np.nan)
+        )
         with pytest.raises(ValueError, match="finite"):
-            step(state, tgt, props, seeded_rng(55, 1))
+            run_chain(state, 5, tgt, props, seeded_rng(55, 1))
 
     def test_state_points_read_only(self):
         tgt = toy_target()
@@ -165,7 +212,7 @@ class TestStepAndChain:
         state = initial_state(2, tgt, props)
         rng = seeded_rng(55, 2)
         for _ in range(20):
-            state, _ = step(state, tgt, props, rng)
+            state, _ = run_chain(state, 1, tgt, props, rng)
             assert not state.points.flags.writeable
             assert state.centers == Centers(state.points)
 
@@ -179,13 +226,13 @@ class TestStepAndChain:
         assert np.all((trace.k_current >= 1) & (trace.k_current <= 3))
         assert final.k == trace.k_current[-1]
 
-    def test_single_step_chain_equals_step(self):
+    def test_rejects_state_outside_dimension_range(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(1, tgt, props)
-        final_a, trace = run_chain(state, 1, tgt, props, seeded_rng(57, 0))
-        final_b, _ = step(state, tgt, props, seeded_rng(57, 0))
-        assert final_a.centers == final_b.centers
+        wide = ChainState(np.zeros((4, 1)), state.log_density, state.log_proposal)
+        with pytest.raises(ValueError, match="outside"):
+            run_chain(wide, 5, tgt, props, seeded_rng(56, 1))
 
     def test_deterministic_replay(self):
         tgt = toy_target()
@@ -204,7 +251,7 @@ class TestStepAndChain:
         state = initial_state(1, tgt, props)
         rng = seeded_rng(59, 0)
         for _ in range(500):
-            state, _ = step(state, tgt, props, rng)
+            state, _ = run_chain(state, 1, tgt, props, rng)
             assert math.isfinite(state.log_density)
 
     def test_prior_target_k_marginal_uniform(self):
@@ -261,43 +308,104 @@ def sine_drift_step(t=40, p=20):
     return tgt, props
 
 
-class TestCachedProposalDensity:
-    """The state's cached densities and every alpha equal fresh evaluations."""
+def scalar_reference(state, n, tgt, props, seed, supply):
+    """The chain one candidate at a time: each candidate a validated Centers,
+    evaluated alone with log_target and student_log_density; the candidates
+    are the pooled chain's, taken in pool order.  Returns the state, proposed
+    k and alpha of every iteration."""
+    rng = seeded_rng(seed, 0)
+    rng.integers(2**63)  # the supply's seed
+    v = rng.integers(0, 3 << 50, size=n)
+    offsets, uniforms = v % 3, (v // 3) * 2.0**-50
+    p = props.max_clusters
+    rows = {k: np.concatenate([pts for pts, _, _ in chunks])
+            for k, chunks in enumerate(supply.chunks) if chunks}
+    used = dict.fromkeys(rows, 0)
+    states, k_proposed, alphas = [], [], []
+    for offset, u in zip(offsets, uniforms):
+        k_cand = state.k - 1 + int(offset)
+        if not 1 <= k_cand <= p:
+            k_cand = state.k
+        c = Centers(rows[k_cand][used[k_cand]])
+        used[k_cand] += 1
+        params = props.params(k_cand)
+        cand = ChainState(c.points, log_target(c, tgt), student_log_density(c, params))
+        alpha = math.exp(acceptance_log_prob(state, cand))
+        if u < alpha:
+            state = cand
+        states.append(state)
+        k_proposed.append(k_cand)
+        alphas.append(alpha)
+    return states, k_proposed, alphas
+
+
+class TestPooledChainAgainstScalarReference:
+    """The pooled, batch-evaluated chain equals the one-candidate-at-a-time
+    chain on the same candidates and uniforms: same states, same cached
+    densities, same alphas, compared with ==."""
 
     @pytest.mark.parametrize("case", ["toy", "sine_drift"])
-    def test_cache_matches_fresh_evaluation(self, case):
+    def test_replay_equals_scalar_reference(self, case):
         if case == "toy":
             tgt = toy_target()
             props = toy_proposals(tgt)
-            state = initial_state(1, tgt, props)
+            state0 = initial_state(1, tgt, props)
         else:
             tgt, props = sine_drift_step()
-            state = initial_state(3, tgt, props)
-        rng = seeded_rng(63, 0)
-        accepted_moves = 0
-        for _ in range(400):
-            fresh = ProposalParams(props.params(state.k).locations, props.tau)
-            assert state.log_proposal == student_log_density(state.centers, fresh)
-            assert state.log_density == log_target(state.centers, tgt)
-            # replay the move's draws to rebuild its candidate from scratch
-            replay = copy.deepcopy(rng)
-            k_cand = propose_dimension(state.k, props.max_clusters, replay)
-            cand_params = ProposalParams(props.params(k_cand).locations, props.tau)
-            cand = student_sample(cand_params, replay)
-            # the kernel's sum, in its order
-            log_alpha = (
-                log_target(cand, tgt)
-                - log_target(state.centers, tgt)
-                + student_log_density(state.centers, fresh)
-                - student_log_density(cand, cand_params)
-            )
-            state, (k_prop, alpha, accepted) = step(state, tgt, props, rng)
-            assert k_prop == k_cand
-            assert alpha == math.exp(min(0.0, log_alpha))
-            accepted_moves += accepted
-        assert 0 < accepted_moves < 400
-        fresh = ProposalParams(props.params(state.k).locations, props.tau)
-        assert state.log_proposal == student_log_density(state.centers, fresh)
+            state0 = initial_state(3, tgt, props)
+        n, seed = 400, 63
+        final, trace = run_chain(state0, n, tgt, props, seeded_rng(seed, 0))
+        states, k_proposed, alphas = scalar_reference(state0, n, tgt, props, seed, final.supply)
+        assert final == states[-1]
+        assert trace.alpha.tolist() == alphas
+        assert trace.k_proposed.tolist() == k_proposed
+        assert trace.k_current.tolist() == [s.k for s in states]
+        # every intermediate state, through one-iteration blocks
+        state, rng = state0, seeded_rng(seed, 0)
+        for expected in states:
+            state, _ = run_chain(state, 1, tgt, props, rng)
+            assert state == expected
+        assert 0 < trace.accepted.sum() < n
+        assert len(set(trace.k_current.tolist())) > 1  # the replay crosses dimensions
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("block", [1, 31, 33, 500])
+    def test_blocks_equal_one_run_on_a_data_target(self, block):
+        tgt, props = sine_drift_step()
+        state0 = initial_state(3, tgt, props)
+        n = 565
+        whole, trace = run_chain(state0, n, tgt, props, seeded_rng(64, 0))
+        part, traces = run_in_blocks(state0, block, n, tgt, props, seeded_rng(64, 0))
+        assert part == whole
+        assert part.cursors == whole.cursors
+        for name in ("k_proposed", "alpha", "accepted", "k_current"):
+            got = np.concatenate([getattr(t, name) for t in traces])
+            np.testing.assert_array_equal(got, getattr(trace, name))
+
+    def test_two_runs_from_one_mid_chain_state_are_equal(self):
+        tgt, props = sine_drift_step()
+        mid, _ = run_chain(initial_state(3, tgt, props), 100, tgt, props, seeded_rng(65, 0))
+        a, ta = run_chain(mid, 300, tgt, props, seeded_rng(65, 1))
+        b, tb = run_chain(mid, 300, tgt, props, seeded_rng(65, 1))
+        assert a == b and a.cursors == b.cursors
+        np.testing.assert_array_equal(ta.alpha, tb.alpha)
+        np.testing.assert_array_equal(ta.k_current, tb.k_current)
+
+    @pytest.mark.parametrize("changed", ["tgt", "proposals"])
+    def test_carried_supply_ignored_for_another_target_or_proposals(self, changed):
+        tgt, props = sine_drift_step()
+        mid, _ = run_chain(initial_state(3, tgt, props), 100, tgt, props, seeded_rng(66, 0))
+        if changed == "tgt":  # equal values, another object
+            tgt = TargetDensity(tgt.lam, tgt.ctx, tgt.prior, label_weighted=tgt.label_weighted)
+        else:
+            _, props = sine_drift_step()
+        bare = ChainState(mid.points, mid.log_density, mid.log_proposal)
+        a, ta = run_chain(mid, 200, tgt, props, seeded_rng(66, 1))
+        b, tb = run_chain(bare, 200, tgt, props, seeded_rng(66, 1))
+        assert a.supply is not mid.supply
+        assert a == b and a.cursors == b.cursors
+        np.testing.assert_array_equal(ta.alpha, tb.alpha)
 
 
 class TestSupportProjection:

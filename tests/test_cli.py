@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from jumpclust.cli import main
+from jumpclust.cli import build_parser, main
 from jumpclust.core import RunRecord
 from jumpclust.metrics import (
     regret_bound_anytime,
@@ -184,6 +184,17 @@ class TestRun:
             assert capsys.readouterr().err.startswith("jumpclust: ")
             assert not out.exists()
 
+    def test_stray_schedule_field_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "stray.json"
+        schedule = {"kind": "anytime", "value": 3.0, "values": [9.0]}
+        cfg = {"dim": 2, "max_clusters": 4, "radius": 12.0, "schedule": schedule}
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--synthetic", "sine_drift",
+                     "--horizon", "3", "--out", str(out)]) == 2
+        assert "anytime schedule does not read field 'value'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config"])  # missing value
@@ -306,7 +317,7 @@ class TestOracleCheck:
 
 
 class TestRangesAtParseTime:
-    """An out-of-range integer flag is a usage error (exit 1) before any work."""
+    """An out-of-range integer or float flag is a usage error (exit 1) before any work."""
 
     REPLICATE = ["replicate", "--reps", "1", "--horizon", "3", "--chain-length", "5",
                  "--ocl-restarts", "2", "--out", "OUT"]
@@ -338,3 +349,37 @@ class TestRangesAtParseTime:
         captured = capsys.readouterr()
         assert "must be >=" in captured.err
         assert "total variation" not in captured.out
+
+    FLOAT_CASES = {
+        "oracle-radius-0": (["--radius", "0"], "--radius: must be > 0 and finite"),
+        "oracle-radius-negative": (["--radius", "-1"], "--radius: must be > 0 and finite"),
+        "oracle-radius-nan": (["--radius", "nan"], "--radius: must be > 0 and finite"),
+        "oracle-radius-inf": (["--radius", "inf"], "--radius: must be > 0 and finite"),
+        "oracle-eta-negative": (["--eta", "-0.1"], "--eta: must be >= 0 and finite"),
+        "oracle-eta-nan": (["--eta", "nan"], "--eta: must be >= 0 and finite"),
+        "oracle-lam-negative": (["--lam", "-2"], "--lam: must be >= 0 and finite"),
+        "oracle-lam-nan": (["--lam", "NaN"], "--lam: must be >= 0 and finite"),
+        "oracle-tv-limit-negative": (["--tv-limit", "-1"], "--tv-limit: must be in (0, 1]"),
+        "oracle-tv-limit-0": (["--tv-limit", "0"], "--tv-limit: must be in (0, 1]"),
+        "oracle-tv-limit-above-1": (["--tv-limit", "1.5"], "--tv-limit: must be in (0, 1]"),
+        "oracle-tv-limit-nan": (["--tv-limit", "nan"], "--tv-limit: must be in (0, 1]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+    def test_float_flag_exits_1_before_any_work(self, case, capsys):
+        flag, message = self.FLOAT_CASES[case]
+        assert exit_code(self.ORACLE + flag) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "total variation" not in captured.out
+
+    def test_huge_integer_seed_is_accepted(self):
+        args = build_parser().parse_args(self.ORACLE + ["--seed", "9" * 400])
+        assert args.seed == int("9" * 400)
+
+    def test_float_flag_bounds_are_accepted(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            self.ORACLE + ["--radius", "1e-3", "--eta", "0", "--lam", "0", "--tv-limit", "1"]
+        )
+        assert (args.radius, args.eta, args.lam, args.tv_limit) == (1e-3, 0.0, 0.0, 1.0)

@@ -184,10 +184,12 @@ class TestConfigFile:
             ({"kmeans": {"restarts": 2.5}}, "'kmeans.restarts' must be of type int"),
             ({"dim": "2"}, "'dim' must be of type int"),
             ({"label_correction": "false"}, "'label_correction' must be of type bool"),
+            ({"schedule": {"kind": "anytime", "value": 3.0, "values": [9.0]}},
+             "anytime schedule does not read field 'value'"),
         ],
         ids=["schedule-unknown-key", "kmeans-unknown-key", "schedule-not-object",
              "kmeans-not-object", "values-not-a-list", "value-not-a-number",
-             "restarts-not-an-int", "dim-a-string", "bool-a-string"],
+             "restarts-not-an-int", "dim-a-string", "bool-a-string", "schedule-stray-field"],
     )
     def test_malformed_values_raise_value_error(self, nested, match):
         raw = {"dim": 2, "max_clusters": 3, "radius": 1.0, **nested}

@@ -68,6 +68,28 @@ class TestTemperatureSchedule:
         with pytest.raises(ValueError):
             TemperatureSchedule.anytime(2, math.inf).resolve(2, math.inf)
 
+    def test_missing_fields_are_named(self):
+        with pytest.raises(ValueError, match="anytime schedule is unresolved"):
+            lambda_at(TemperatureSchedule("anytime", dim=2), 1)
+        with pytest.raises(ValueError, match="horizon schedule needs horizon"):
+            TemperatureSchedule("horizon").resolve(2, 1.0)
+        with pytest.raises(ValueError, match="anytime schedule needs a finite radius"):
+            TemperatureSchedule("anytime").resolve(2, math.inf)
+        assert TemperatureSchedule("default").resolve(3, 1.0) == TemperatureSchedule.default(3)
+
+    @pytest.mark.parametrize(
+        "kind, fields, stray",
+        [("anytime", {"value": 3.0}, "value"),
+         ("fixed", {"value": 1.0, "values": (9.0,)}, "values"),
+         ("default", {"radius": 2.0}, "radius"),
+         ("inverse_sqrt", {"dim": 2}, "dim"),
+         ("custom", {"values": (1.0,), "horizon": 5}, "horizon"),
+         ("horizon", {"horizon": 5, "value": 0.5}, "value")],
+    )
+    def test_fields_the_kind_never_reads_are_rejected(self, kind, fields, stray):
+        with pytest.raises(ValueError, match=f"{kind} schedule does not read field '{stray}'"):
+            TemperatureSchedule(kind, **fields)
+
     def test_variance_weights_follow_schedule_except_default(self):
         ts = range(6)
         cfg = StreamConfig(dim=2, max_clusters=3, radius=2.0, chain_length=5,
@@ -196,17 +218,18 @@ class TestRepetitions:
         assert rec.to_json_lines() == r0.to_json_lines()
 
 
-SINE_DRIFT_SHA1 = "3e98e20efd99516d6c40cc6fc6566e2484bcc4b0"
-MIXTURE_SHA1 = "8a76407bd6d060cff40a724c8c21408b2b295918"
+SINE_DRIFT_SHA1 = "93a1bdb28a074407a90e5b64f29be5754e63c2e8"
+MIXTURE_SHA1 = "d59bcd06ee07ba45155bb45c59c8f74fd72dec6d"
 
 
 class TestGoldenRecords:
     """The records.jsonl bytes of two short streams, traces included.
 
-    The hashes were recorded before the sampler move was streamlined
-    (raw-array candidates, per-step density constants, coordinate-major
-    nearest-centre kernel); any change to a draw, a density or a sum order
-    in d=2 changes them.
+    The hashes were recorded when the chain began drawing its candidates
+    ahead, in per-k pools of i.i.d. draws evaluated one chunk at a time,
+    with one chain draw per iteration for the dimension offset and the
+    uniform; any change to a draw, to the pool chunk sizes, to a density or
+    to a sum order in d=2 changes them.
     """
 
     @staticmethod

@@ -58,17 +58,26 @@ class TestLogTarget:
 
     @pytest.mark.parametrize("label_weighted", [False, True])
     def test_centers_and_points_agree(self, label_weighted):
-        tgt = toy_target(dim=2)
-        tgt = TargetDensity(tgt.lam, tgt.ctx, tgt.prior, label_weighted=label_weighted)
+        # each row of a stacked evaluation equals the one-row value, with ==,
+        # for both prior kinds and for rows outside the 2R ball (-inf)
+        ctx = toy_context(dim=2)
         rng = seeded_rng(14, 0)
-        for k in (1, 2, 3):
-            for _ in range(20):
-                c = Centers(rng.uniform(-2.5, 2.5, size=(k, 2)))
-                assert log_target(c, tgt) == log_target(c.points, tgt)
+        for prior in (
+            PriorSpec(kind="uniform", dim=2, max_clusters=3, radius=1.0, decay=0.3),
+            PriorSpec(kind="student", dim=2, max_clusters=3, radius=1.0, scale=0.5),
+        ):
+            tgt = TargetDensity(0.87, ctx, prior, label_weighted=label_weighted)
+            for k in (1, 2, 3):
+                stack = rng.uniform(-2.5, 2.5, size=(40, k, 2))
+                values = log_target(stack, tgt)
+                assert values.tolist() == [log_target(Centers(row), tgt) for row in stack]
+                assert np.isneginf(values).any() and np.isfinite(values).any()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             log_target(np.zeros((1, 2)), toy_target(dim=1))
+        with pytest.raises(ValueError, match="dimension"):
+            log_target(np.zeros((4, 1, 2)), toy_target(dim=1))
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):

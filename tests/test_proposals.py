@@ -70,13 +70,24 @@ class TestStudentDensity:
         params = ProposalParams(np.zeros((2, 2)), tau=1.0)
         with pytest.raises(ValueError):
             student_log_density(Centers([[0.0, 0.0]]), params)
+        with pytest.raises(ValueError):
+            student_log_density(np.zeros((3, 1, 2)), params)
+
+    def test_stack_rows_equal_single_rows(self):
+        rng = seeded_rng(28, 0)
+        for k, dim in ((1, 1), (3, 2), (5, 2)):
+            params = ProposalParams(rng.standard_normal((k, dim)), tau=0.3)
+            stack = student_sample(params, 50, rng)
+            values = student_log_density(stack, params)
+            assert values.shape == (50,)
+            assert values.tolist() == [student_log_density(Centers(row), params) for row in stack]
 
 
 class TestStudentSampler:
     def test_empirical_mean(self):
         params = ProposalParams(np.zeros((1, 1)), tau=1.0)
         rng = seeded_rng(23, 0)
-        draws = np.array([student_sample(params, rng)[0, 0] for _ in range(100_000)])
+        draws = student_sample(params, 100_000, rng)[:, 0, 0]
         assert abs(draws.mean()) <= 0.02
 
     def test_cdf_against_analytic(self):
@@ -84,7 +95,7 @@ class TestStudentSampler:
         tau = 0.9
         params = ProposalParams(np.array([[0.5]]), tau=tau)
         rng = seeded_rng(24, 0)
-        draws = np.array([student_sample(params, rng)[0, 0] for _ in range(100_000)])
+        draws = student_sample(params, 100_000, rng)[:, 0, 0]
         z = (draws - 0.5) / (math.sqrt(2) * tau)
         for q in (0.5, 1.0, 2.0):
             emp = (z <= q).mean()
@@ -93,7 +104,7 @@ class TestStudentSampler:
     def test_kolmogorov_smirnov_sampler_density_consistency(self):
         params = ProposalParams(np.zeros((1, 1)), tau=1.3)
         rng = seeded_rng(25, 0)
-        draws = np.array([student_sample(params, rng)[0, 0] for _ in range(100_000)])
+        draws = student_sample(params, 100_000, rng)[:, 0, 0]
         ks = stats.kstest(draws / (math.sqrt(2) * 1.3), lambda x: stats.t.cdf(x, df=3))
         assert ks.statistic <= 0.01
 
@@ -101,16 +112,19 @@ class TestStudentSampler:
         rng1, rng2 = seeded_rng(26, 0), seeded_rng(26, 0)
         big = ProposalParams(np.zeros((1, 1)), tau=1.0)
         small = ProposalParams(np.zeros((1, 1)), tau=0.1)
-        a = np.array([student_sample(big, rng1)[0, 0] for _ in range(20_000)])
-        b = np.array([student_sample(small, rng2)[0, 0] for _ in range(20_000)])
+        a = student_sample(big, 20_000, rng1)[:, 0, 0]
+        b = student_sample(small, 20_000, rng2)[:, 0, 0]
         iqr = lambda v: np.subtract(*np.percentile(v, [75, 25]))
         assert iqr(b) == pytest.approx(iqr(a) / 10, rel=1e-9)
 
     def test_independent_blocks(self):
         params = ProposalParams(np.array([[0.0, 0.0], [5.0, 5.0]]), tau=0.5)
         rng = seeded_rng(27, 0)
-        c = student_sample(params, rng)
-        assert c.shape == (2, 2)
+        c = student_sample(params, 20_000, rng)
+        assert c.shape == (20_000, 2, 2)
+        # each block is centred on its own location and uncorrelated with the other
+        np.testing.assert_allclose(np.median(c, axis=0), params.locations, atol=0.02)
+        assert abs(np.corrcoef(c[:, 0, 0], c[:, 1, 0])[0, 1]) <= 0.03
 
 
 class TestProposalScale:
