@@ -41,10 +41,9 @@ __all__ = [
     "initial_state",
 ]
 
-# rows of a pool's first chunk; later chunks double up to the cap, which bounds
-# the batched score's (rows, k, d, t) temporary
-_POOL_FIRST = 16
-_POOL_CAP = 64
+# rows per pool chunk, evaluated in one batched call; it bounds the batched
+# score's (rows, k, d, t) temporary
+_POOL_ROWS = 32
 # one chain draw per iteration, uniform on [0, 3 * 2**50): its residue mod 3
 # gives the dimension offset (exactly 1/3 each of -1, 0, +1) and its
 # quotient, times 2**-50, the acceptance uniform
@@ -58,8 +57,8 @@ class ChainState:
     ``points`` is the read-only (k, d) array of coordinates; ``log_proposal``
     is the density of the step's k-block proposal at ``points``.  A state
     returned by :func:`run_chain` also carries the run's candidate ``supply``
-    and, per k, the (chunk, row) ``cursors`` of the next unused candidate,
-    which a run continued from it takes up; neither enters ==.
+    and, per k, the ``cursors`` index of the next unused candidate, which a
+    run continued from it takes up; neither enters ==.
     """
 
     points: np.ndarray
@@ -125,10 +124,10 @@ class CandidateSupply:
     """Pre-evaluated independence candidates of one (target, proposals) pair.
 
     ``chunks[k]`` is the append-only list of (points, log_density,
-    log_proposal) chunks of k-block proposal draws: a read-only (n, k, d)
-    stack and its two (n,) density arrays.  Pool k has its own generator,
-    seeded from (seed, k), and chunk sizes that depend on the chunk count
-    only, so its rows do not depend on who asks for them.
+    log_proposal) chunks of ``_POOL_ROWS`` k-block proposal draws: a
+    read-only (rows, k, d) stack and its two (rows,) density arrays.  Pool
+    k has its own generator, seeded from (seed, k), so its rows do not
+    depend on who asks for them.
     """
 
     def __init__(self, tgt: TargetDensity, proposals: StepProposals, seed: int):
@@ -142,7 +141,7 @@ class CandidateSupply:
         if not chunks:
             self._rngs[k] = seeded_rng(self.seed, k)
         params = self.proposals.params(k)
-        points = student_sample(params, min(_POOL_CAP, _POOL_FIRST << len(chunks)), self._rngs[k])
+        points = student_sample(params, _POOL_ROWS, self._rngs[k])
         if not np.isfinite(points).all():
             raise ValueError("candidate centers must have finite coordinates")
         points.flags.writeable = False
@@ -194,18 +193,18 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     supply, cursors = init.supply, list(init.cursors)
     if supply is None or supply.tgt is not tgt or supply.proposals is not proposals:
         supply = CandidateSupply(tgt, proposals, int(rng.integers(2**63)))
-        cursors = [(0, 0)] * (p + 1)
+        cursors = [0] * (p + 1)
     v = rng.integers(0, _DRAW_RANGE, size=n_steps)
     offsets, uniforms = (v % 3 - 1).tolist(), ((v // 3) * 2.0**-50).tolist()
     pools = supply.chunks
     state, k, rows = init, init.k, []
     for offset, u in zip(offsets, uniforms):
         kp = k + offset if 1 <= k + offset <= p else k
-        pool, (c, r) = pools[kp], cursors[kp]
-        if c == len(pool):
+        c, r = divmod(cursors[kp], _POOL_ROWS)
+        if c == len(pools[kp]):
             supply.refill(kp)
-        points, log_density, log_proposal = pool[c]
-        cursors[kp] = (c, r + 1) if r + 1 < len(points) else (c + 1, 0)
+        points, log_density, log_proposal = pools[kp][c]
+        cursors[kp] += 1
         candidate = ChainState(points[r], log_density.item(r), log_proposal.item(r))
         state, (_, a, acc) = step(state, candidate, u)
         k = kp if acc else k

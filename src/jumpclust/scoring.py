@@ -44,14 +44,9 @@ def sq_dists(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
     (..., k, t).  The observations come coordinate-major so that the sum
     over d runs over contiguous length-t rows.
     """
-    # one coordinate at a time: the bits of a sum over d, without the (..., k, d, t) array
-    out = points[..., :, 0, None] - xs_t[0]
-    out *= out
-    for j in range(1, xs_t.shape[0]):
-        diff = points[..., :, j, None] - xs_t[j]
-        diff *= diff
-        out += diff
-    return out
+    diff = points[..., :, :, None] - xs_t  # (..., k, d, t)
+    diff *= diff
+    return diff.sum(axis=-2)
 
 
 def nearest_sq_dist(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:

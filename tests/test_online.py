@@ -218,18 +218,18 @@ class TestRepetitions:
         assert rec.to_json_lines() == r0.to_json_lines()
 
 
-SINE_DRIFT_SHA1 = "93a1bdb28a074407a90e5b64f29be5754e63c2e8"
-MIXTURE_SHA1 = "d59bcd06ee07ba45155bb45c59c8f74fd72dec6d"
+SINE_DRIFT_SHA1 = "87f83b551713c499d82647410e4eab20f07e468c"
+MIXTURE_SHA1 = "e5fe0b2773fcc5221b0b74793fc3ea7e65d21ce2"
 
 
 class TestGoldenRecords:
     """The records.jsonl bytes of two short streams, traces included.
 
-    The hashes were recorded when the chain began drawing its candidates
-    ahead, in per-k pools of i.i.d. draws evaluated one chunk at a time,
-    with one chain draw per iteration for the dimension offset and the
-    uniform; any change to a draw, to the pool chunk sizes, to a density or
-    to a sum order in d=2 changes them.
+    The hashes were recorded when the chain drew its candidates ahead, in
+    per-k pools of i.i.d. draws evaluated 32 rows at a time, with one chain
+    draw per iteration for the dimension offset and the uniform; any change
+    to a draw, to the pool chunk size, to a density or to a sum order in
+    d=2 changes them.
     """
 
     @staticmethod
