@@ -127,7 +127,7 @@ def validate_observation(x, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    """Lloyd/k-means++ settings for proposal-location fits."""
+    """Lloyd/k-means++ settings for proposal-location fits (``restarts`` applies to cold fits)."""
 
     restarts: int = 10
     max_iter: int = 100

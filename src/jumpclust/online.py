@@ -215,6 +215,7 @@ def run_stream(
     observations, ref_losses, lam_prev = [], [], []  # x_s, realized loss, variance weight
     jitter_scale = cfg.radius if math.isfinite(cfg.radius) else cfg.prior_scale
     steps = []
+    fits = {}  # k -> the latest k-means fit of any step, the next fit's warm start
     cum = 0.0
     warned = False
 
@@ -248,6 +249,7 @@ def run_stream(
             kmeans_cfg=cfg.kmeans,
             rng_for_k=lambda k, _t=t: seeded_rng(cfg.seed, (_KMEANS_STREAM, rep, _t, k)),
             jitter_scale=jitter_scale,
+            earlier_fits=fits,
         )
         state0 = initial_state(current.k, tgt, proposals)
         final, trace = run_chain(

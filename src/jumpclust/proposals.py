@@ -4,9 +4,11 @@ A proposal for a k-block move is an independence draw from a product of k
 heavy-tailed blocks (3 degrees of freedom) centered at the k-means fit of
 the data seen so far, with a scale that shrinks like 1/sqrt(p*t).  The
 k-means fits are cached per (time step, k): within one step every chain
-iteration reuses the same locations, and each (step, k) fit draws from its
-own seeded stream so results do not depend on the order the chain visits
-dimensions.
+iteration reuses the same locations.  A (step, k) fit runs Lloyd from the
+latest fit of k at any earlier step and from the split of the step's
+(k-1)-fit; a k no earlier step fitted, or above the point count, is fitted
+cold from k-means++ seedings on the (step, k) fit's own seeded stream.  So
+fits do not depend on the order the chain visits dimensions within a step.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ def kmeans_fit(
     rng=None,
     extra_init: Optional[np.ndarray] = None,
     pad_jitter: float = 1e-6,
+    warm: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Best-of-restarts Lloyd fit with k-means++ seeding: a read-only (k, d)
     array of centers.
@@ -162,12 +165,12 @@ def kmeans_fit(
     themselves plus jittered copies, so the fitter always returns exactly k
     finite centers.  ``extra_init`` adds one extra starting stack (used to
     inherit the best (k-1)-fit plus a split, which makes the fitted loss
-    non-increasing in k).
+    non-increasing in k).  A ``warm`` (k, d) starting stack replaces the
+    k-means++ seedings when there are at least k points: Lloyd then runs
+    from ``warm`` and ``extra_init`` only, and ``rng`` is not read.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     x = np.asarray(data, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -175,17 +178,22 @@ def kmeans_fit(
         raise ValueError("data must be a (n, d) array")
     if not np.isfinite(x).all():
         raise ValueError("data must have finite coordinates")
-    n = x.shape[0]
+    n, d = x.shape
+    if rng is None and (n < k or warm is None):
+        rng = np.random.default_rng(0)
     if n == 0:
-        fit = pad_jitter * rng.standard_normal((k, x.shape[1]))
+        fit = pad_jitter * rng.standard_normal((k, d))
     elif n < k:
         pad = x[rng.integers(0, n, size=k - n)]
         fit = np.concatenate([x, pad + pad_jitter * rng.standard_normal(pad.shape)])
     else:
         xt = np.ascontiguousarray(x.T)
-        inits = _plusplus_init(x, xt, k, cfg.restarts, rng)
+        if warm is None:
+            inits = _plusplus_init(x, xt, k, cfg.restarts, rng)
+        else:
+            inits = np.asarray(warm, dtype=float).reshape(1, k, d)
         if extra_init is not None:
-            extra = np.asarray(extra_init, dtype=float).reshape(1, k, x.shape[1])
+            extra = np.asarray(extra_init, dtype=float).reshape(1, k, d)
             inits = np.concatenate([inits, extra], axis=0)
         centers, losses = _lloyd(x, xt, inits, cfg.max_iter, cfg.tol)
         fit = centers[int(losses.argmin())].copy()
@@ -202,6 +210,11 @@ class StepProposals:
     best lower-k solution (plus the farthest point as the split center) as
     one of its starting stacks; this enforces that the within-cluster loss
     of the fitted locations never increases with k.
+
+    ``earlier_fits`` (k -> the latest fit of k at an earlier step; carried
+    by the caller, updated here) warm-starts a k with at least k points:
+    Lloyd runs from that fit and the split start only, and ``rng_for_k`` is
+    not called.  Every other fit, and all without it, are cold.
     """
 
     def __init__(
@@ -212,6 +225,7 @@ class StepProposals:
         kmeans_cfg: KMeansConfig,
         rng_for_k: Callable[[int], np.random.Generator],
         jitter_scale: float = 1.0,
+        earlier_fits: Optional[Dict[int, np.ndarray]] = None,
     ):
         x = np.asarray(data, dtype=float)
         if x.ndim != 2:
@@ -223,6 +237,7 @@ class StepProposals:
         self._rng_for_k = rng_for_k
         self._jitter = 1e-6 * jitter_scale
         self._params: Dict[int, ProposalParams] = {}
+        self._earlier = {} if earlier_fits is None else earlier_fits
 
     def _fit(self, k: int) -> None:
         extra = None
@@ -231,14 +246,17 @@ class StepProposals:
         if prev is not None and k <= n:
             far = self.data[nearest_sq_dist(prev.locations, self.data.T).argmax()]
             extra = np.concatenate([prev.locations, far.reshape(1, -1)])
+        warm = self._earlier.get(k) if k <= n else None
         fit = kmeans_fit(
             self.data,
             k,
             self.kmeans_cfg,
-            self._rng_for_k(k),
+            self._rng_for_k(k) if warm is None else None,
             extra_init=extra,
             pad_jitter=self._jitter,
+            warm=warm,
         )
+        self._earlier[k] = fit
         self._params[k] = ProposalParams(fit, self.tau)
 
     def params(self, k: int) -> ProposalParams:

@@ -127,13 +127,16 @@ class TestRunStream:
         assert a.to_json_lines() == b.to_json_lines()
 
     def test_prefix_consistency_no_lookahead(self):
-        # outputs at steps 1..6 depend only on x_{1:6}
+        # outputs at steps 1..20 depend only on x_{1:20}; by step 20 the
+        # k-means fits at k >= 2 start from earlier steps' fits
         cfg = small_config()
-        xs = generate(SyntheticSpec(kind="sine_drift", horizon=12), seeded_rng(4, 0)).xs
+        xs = generate(SyntheticSpec(kind="sine_drift", horizon=30), seeded_rng(4, 0)).xs
         full = run_stream(xs, cfg)
-        prefix = run_stream(xs[:6], cfg)
-        for a, b in zip(prefix.steps, full.steps[:6]):
+        prefix = run_stream(xs[:20], cfg)
+        assert len(prefix.steps) == 20
+        for a, b in zip(prefix.steps, full.steps[:20]):
             assert a.centers == b.centers and a.loss == b.loss
+        assert prefix.final_centers == full.steps[20].centers
 
     def test_cluster_count_stays_in_range(self):
         cfg = small_config()
@@ -218,8 +221,8 @@ class TestRepetitions:
         assert rec.to_json_lines() == r0.to_json_lines()
 
 
-SINE_DRIFT_SHA1 = "87f83b551713c499d82647410e4eab20f07e468c"
-MIXTURE_SHA1 = "e5fe0b2773fcc5221b0b74793fc3ea7e65d21ce2"
+SINE_DRIFT_SHA1 = "28c3db4287ad4a356dd95b156f4a872acb3a449f"
+MIXTURE_SHA1 = "1c425fa647f5b5b2a741be96b994b4e396d44bf4"
 
 
 class TestGoldenRecords:
@@ -227,9 +230,12 @@ class TestGoldenRecords:
 
     The hashes were recorded when the chain drew its candidates ahead, in
     per-k pools of i.i.d. draws evaluated 32 rows at a time, with one chain
-    draw per iteration for the dimension offset and the uniform; any change
-    to a draw, to the pool chunk size, to a density or to a sum order in
-    d=2 changes them.
+    draw per iteration for the dimension offset and the uniform, and when
+    each step's k-means fit of a k fitted at an earlier step started Lloyd
+    from that earlier fit and the split start, without k-means++ seedings.
+    The warm starts move the proposal locations, so they changed both
+    hashes.  Any change to a draw, to the pool chunk size, to a k-means
+    start, to a density or to a sum order in d=2 changes them.
     """
 
     @staticmethod

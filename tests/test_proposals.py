@@ -257,6 +257,81 @@ class TestStepProposals:
             props.params(4)
 
 
+class TestWarmStarts:
+    """StepProposals over a growing stream, each step seeded from the
+    latest fit of each k made at an earlier step."""
+
+    @staticmethod
+    def _stream(seed, n=60):
+        rng = seeded_rng(seed, 0)
+        groups = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
+        return groups[rng.integers(0, 4, size=n)] + rng.standard_normal((n, 2))
+
+    @staticmethod
+    def _props(x, fits, asked=None, p=6):
+        def rng_for_k(k):
+            if asked is not None:
+                asked.append(k)
+            return seeded_rng(46, (len(x), k))
+
+        return StepProposals(
+            x, tau=0.1, max_clusters=p, kmeans_cfg=KMeansConfig(restarts=4),
+            rng_for_k=rng_for_k, earlier_fits=fits,
+        )
+
+    def test_warm_fit_loss_at_most_its_start_and_non_increasing_in_k(self):
+        x = self._stream(47)
+        fits, warm_fits = {}, 0
+        for t in range(1, x.shape[0] + 1):
+            starts = dict(fits)
+            props = self._props(x[:t], fits)
+            top = 1 + t % 6  # the visited k vary from step to step
+            losses = [within_cluster_loss(props.params(k).locations, x[:t]) for k in range(1, top + 1)]
+            assert all(a >= b for a, b in zip(losses, losses[1:]))
+            for k, loss in enumerate(losses, start=1):
+                if k in starts and k <= t:
+                    warm_fits += 1
+                    assert loss <= within_cluster_loss(starts[k], x[:t])
+        assert warm_fits > 100
+
+    def test_fit_from_two_or_more_steps_back_is_the_warm_start(self):
+        x = self._stream(48)
+        fits = {}
+        self._props(x[:30], fits).params(4)
+        first = fits[4]
+        for t in (31, 32):  # k = 4 is not visited at these steps
+            self._props(x[:t], fits).params(2)
+        assert fits[4] is first
+        asked = []
+        props = self._props(x[:33], fits, asked)
+        got = props.params(4).locations
+        assert asked == []  # every k had an earlier fit: no k-means++ stream is built
+        split = props.params(3).locations
+        far = x[:33][((x[:33, None, :] - split[None]) ** 2).sum(axis=2).min(axis=1).argmax()]
+        expected = kmeans_fit(
+            x[:33], 4, KMeansConfig(restarts=4), None,
+            extra_init=np.concatenate([split, far[None]]), warm=first,
+        )
+        np.testing.assert_array_equal(got, expected)
+        assert fits[4] is got
+
+    def test_cold_for_a_new_k_and_for_k_above_the_point_count(self):
+        x = self._stream(49)
+        fits = {}
+        self._props(x[:2], fits).params(3)  # k = 3 padded from two points
+        asked = []
+        self._props(x[:3], fits, asked).params(5)
+        assert asked == [4, 5]  # k = 3 starts warm; 4 and 5 are new or exceed t
+
+    def test_empty_earlier_fits_equal_no_earlier_fits(self):
+        x = self._stream(50)[:40]
+        fits = {}
+        cold, fresh = self._props(x, None), self._props(x, fits)
+        for k in range(1, 7):
+            assert cold.params(k).locations.tobytes() == fresh.params(k).locations.tobytes()
+            assert fits[k] is fresh.params(k).locations
+
+
 def kmeans_digests(dim: int):
     """SHA-1 of the bytes of every fit in a fixed batch of d-dimensional
     k-means problems: (``kmeans_fit`` digest, ``StepProposals`` digest)."""
