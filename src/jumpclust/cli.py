@@ -43,7 +43,7 @@ from .metrics import (
 )
 from .online import TemperatureSchedule, lambda_at, run_stream, run_synthetic_repetitions
 from .online import _CHAIN_STREAM, _DATA_STREAM, _KMEANS_STREAM
-from .posterior import TargetDensity, grid_oracle
+from .posterior import GridTooLargeError, TargetDensity, grid_oracle
 from .priors import PriorSpec
 from .proposals import StepProposals, proposal_scale
 from .scoring import ScoreContext
@@ -368,6 +368,11 @@ def _cmd_oracle_check(args) -> int:
         print("oracle-check needs --burn-in < --iters", file=sys.stderr)
         return _USAGE_EXIT
     tgt = _toy_target(args)
+    try:
+        oracle = grid_oracle(tgt, resolution=args.resolution)
+    except GridTooLargeError as exc:
+        print(f"jumpclust: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
     proposals = StepProposals(
         tgt.ctx.observations,
         tau=proposal_scale(args.max_clusters, tgt.ctx.t + 1),
@@ -381,8 +386,6 @@ def _cmd_oracle_check(args) -> int:
     trace = run_chain(state0, args.iters, tgt, proposals, chain_rng)[1]
     ks = trace.k_current[args.burn_in :]
     empirical = np.bincount(ks, minlength=args.max_clusters + 1)[1:] / ks.shape[0]
-
-    oracle = grid_oracle(tgt, resolution=args.resolution)
     tv = 0.5 * float(np.abs(empirical - oracle.k_marginal()).sum())
     print(f"empirical k-marginal: {np.array2string(empirical, precision=4)}")
     print(f"oracle    k-marginal: {np.array2string(oracle.k_marginal(), precision=4)}")

@@ -10,15 +10,18 @@ the acceptance ratio needs them.
 
 The grid oracle brute-force normalizes the target on toy instances
 (d <= 2, at most 3 slices) by tiling the exact support of every slice --
-intervals in d=1, polar sectors in d=2 -- with midpoint cells.  It exists
-to validate the sampler, not to be fast.
+intervals in d=1, polar sectors in d=2 -- with midpoint cells.  Each
+k-slice is invariant under relabelling its centers (the prior is q(k)
+times k i.i.d. blocks, the score a min over centers), so the oracle
+evaluates each unordered tuple of block cells once and weights it by its
+number of distinct orderings; the sum equals the one over all ordered
+tuples.  It exists to validate the sampler, not to be fast.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -35,7 +38,7 @@ __all__ = [
 ]
 
 MAX_GRID_CELLS = 10**7
-# cells evaluated per batch, which bounds the oracle's (cells, t, k, d) distance array
+# cells evaluated per batch, which bounds the oracle's (cells, k, d, t) distance array
 _CELL_CHUNK = 2**16
 
 
@@ -130,23 +133,52 @@ def _block_cells(dim: int, radius: float, resolution: int):
     raise GridTooLargeError(f"grid oracle supports d in {{1, 2}}, got d={dim}")
 
 
+def _unordered_cells(b: int, k: int):
+    """Chunks (idx (n, k), log_orders (n,)), n <= _CELL_CHUNK, of the
+    nondecreasing k-tuples of range(b), each once.  log_orders =
+    log(k!/prod_j m_j!), m_j the count of cell j, counts the tuple's
+    orderings; prod_j m_j! is the product over positions of the length of
+    the run of equal indices ending there."""
+    idx = np.zeros((1, 0), dtype=np.intp)
+    last = np.zeros(1, dtype=np.intp)
+    run = np.zeros(1, dtype=np.intp)
+    log_runs = np.zeros(1)
+    for depth in range(1, k + 1):
+        width = b - last  # choices of a next index >= last
+        starts = np.cumsum(width) - width
+        n = int(starts[-1] + width[-1])
+        step = _CELL_CHUNK if depth == k else n  # shorter tuples are built whole
+        for lo in range(0, n, step):
+            pos = np.arange(lo, min(lo + step, n))
+            row = np.searchsorted(starts, pos, side="right") - 1
+            nxt = last[row] + (pos - starts[row])
+            nrun = np.where(nxt == last[row], run[row] + 1, 1)
+            nidx = np.column_stack([idx[row], nxt])
+            nlog = log_runs[row] + np.log(nrun)
+            if depth == k:
+                yield nidx, math.lgamma(k + 1) - nlog
+        idx, last, run, log_runs = nidx, nxt, nrun, nlog
+
+
 @dataclass(frozen=True)
 class GridOracle:
-    """Normalized Riemann-sum table of the target over all (k, cell) pairs."""
+    """Normalized Riemann-sum masses of the target's k-slices."""
 
     resolution: int
     slice_masses: np.ndarray  # (p,) probability of each k-slice
-    cell_masses: Dict[int, np.ndarray]  # k -> normalized per-cell masses
 
     def k_marginal(self) -> np.ndarray:
         return self.slice_masses
 
-    def total_mass(self) -> float:
-        return float(sum(float(v.sum()) for v in self.cell_masses.values()))
-
 
 def grid_oracle(tgt: TargetDensity, resolution: int) -> GridOracle:
     """Brute-force normalization of the target on a toy instance.
+
+    Each unordered tuple of block cells (a nondecreasing index tuple) is
+    evaluated once through :func:`log_target` and counted once per
+    distinct ordering, k!/prod_j m_j! times.  Reorderings have equal
+    log-target and cell volume, so this is the Riemann sum over all b^k
+    ordered tuples in C(b+k-1, k) evaluations.  The budget counts b^k.
 
     resolution
         Number of cells per axis (d=1) or per polar axis (d=2: resolution
@@ -167,23 +199,13 @@ def grid_oracle(tgt: TargetDensity, resolution: int) -> GridOracle:
         raise GridTooLargeError(f"grid would need {total} cells (budget {MAX_GRID_CELLS})")
 
     log_block_vols = np.log(block_vols)
-    slice_logs = {}
-    for k in range(1, spec.max_clusters + 1):
-        n = b**k
-        logs = np.empty(n)
-        for start in range(0, n, _CELL_CHUNK):
-            stop = min(start + _CELL_CHUNK, n)
-            cells = np.unravel_index(np.arange(start, stop), (b,) * k)
-            idx = np.stack(cells, axis=1)  # (cells, k)
-            pts = block_pts[idx]  # (cells, k, d)
-            logs[start:stop] = log_target(pts, tgt) + log_block_vols[idx].sum(axis=1)
-        slice_logs[k] = logs
-
-    peak = max(float(v.max()) for v in slice_logs.values())
-    unnorm = {k: np.exp(v - peak) for k, v in slice_logs.items()}
-    z = sum(float(v.sum()) for v in unnorm.values())
-    cell_masses = {k: v / z for k, v in unnorm.items()}
-    slice_masses = np.array(
-        [float(cell_masses[k].sum()) for k in range(1, spec.max_clusters + 1)]
-    )
-    return GridOracle(resolution=resolution, slice_masses=slice_masses, cell_masses=cell_masses)
+    slice_logs = [
+        np.concatenate([
+            log_target(block_pts[idx], tgt) + log_block_vols[idx].sum(axis=1) + log_orders
+            for idx, log_orders in _unordered_cells(b, k)
+        ])
+        for k in range(1, spec.max_clusters + 1)
+    ]
+    peak = max(float(v.max()) for v in slice_logs)
+    unnorm = np.array([float(np.exp(v - peak).sum()) for v in slice_logs])
+    return GridOracle(resolution=resolution, slice_masses=unnorm / unnorm.sum())

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from jumpclust import cli
 from jumpclust.cli import build_parser, main
 from jumpclust.core import RunRecord
 from jumpclust.metrics import (
@@ -304,6 +305,17 @@ class TestOracleCheck:
         assert exit_code(["oracle-check", "--iters", iters, "--burn-in", burn_in]) == 1
         captured = capsys.readouterr()
         assert ("--iters" if iters == "0" else "--burn-in") in captured.err
+        assert "total variation" not in captured.out
+
+    @pytest.mark.parametrize("flags", [["--dim", "2"], ["--dim", "1", "--resolution", "3000"]])
+    def test_oversized_grid_refused_before_sampling(self, flags, monkeypatch, capsys):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain ran before the grid size was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        assert exit_code(["oracle-check", *flags]) == 1
+        captured = capsys.readouterr()
+        assert "grid would need" in captured.err
         assert "total variation" not in captured.out
 
     def test_prior_only_quick(self, capsys):

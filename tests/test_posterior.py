@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from jumpclust import posterior
 from jumpclust.core import Centers, seeded_rng
 from jumpclust.posterior import (
     _CELL_CHUNK,
     GridTooLargeError,
     TargetDensity,
+    _block_cells,
+    _unordered_cells,
     grid_oracle,
     log_target,
 )
-from jumpclust.priors import PriorSpec, log_prior, log_prior_batch, q_masses
-from jumpclust.scoring import ScoreContext, score, score_batch
+from jumpclust.priors import PriorSpec, log_prior
+from jumpclust.scoring import ScoreContext, score
 
 
 def toy_context(dim=1):
@@ -103,7 +106,6 @@ class TestGridOracle:
 
     def test_masses_sum_to_one(self):
         oracle = grid_oracle(toy_target(), resolution=80)
-        assert oracle.total_mass() == pytest.approx(1.0, abs=1e-9)
         assert oracle.k_marginal().sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_grid_refinement_stability(self):
@@ -152,27 +154,66 @@ class TestGridOracle:
         oracle = grid_oracle(tgt, resolution=150)
         assert oracle.k_marginal()[2] > 1 / 3
 
+    # (target, resolution): the d=1, p=3 case spans more than one chunk
+    ORDERED_CASES = {
+        "d1-p3-chunked": (toy_target(), 45),
+        "d2-p2": (toy_target(dim=2, p=2), 7),
+        "student": (
+            TargetDensity(
+                0.87,
+                toy_context(),
+                PriorSpec(kind="student", dim=1, max_clusters=3, radius=1.0, decay=0.3, scale=0.5),
+            ),
+            20,
+        ),
+        "label-weighted": (
+            TargetDensity(0.87, toy_context(), toy_target().prior, label_weighted=True),
+            20,
+        ),
+        "prior-only": (TargetDensity.prior_only(toy_target().prior), 20),
+    }
+
     def test_chunked_slices_match_unchunked_reference(self):
-        # the k=3 slice spans more than one evaluation chunk
-        tgt = toy_target()
-        resolution = 45
-        assert resolution**3 > _CELL_CHUNK
-        oracle = grid_oracle(tgt, resolution=resolution)
-        edges = np.linspace(-2.0, 2.0, resolution + 1)
-        mids = (0.5 * (edges[:-1] + edges[1:])).reshape(-1, 1)
-        log_vols = np.log(np.diff(edges))
-        logs = {}
-        for k in (1, 2, 3):
-            idx = np.indices((resolution,) * k).reshape(k, -1).T
-            pts = mids[idx]
-            logs[k] = (
-                log_prior_batch(pts, tgt.prior)
-                - tgt.lam * score_batch(pts, tgt.ctx)
-                + log_vols[idx].sum(axis=1)
-            )
-        peak = max(v.max() for v in logs.values())
-        z = sum(np.exp(v - peak).sum() for v in logs.values())
-        for k in (1, 2, 3):
+        # reference: the Riemann sum over all b^k ordered tuples of block cells
+        assert self.ORDERED_CASES["d1-p3-chunked"][1] ** 3 > _CELL_CHUNK
+        for case, (tgt, resolution) in self.ORDERED_CASES.items():
+            pts, vols = _block_cells(tgt.prior.dim, tgt.prior.radius, resolution)
+            logs = []
+            for k in range(1, tgt.prior.max_clusters + 1):
+                idx = np.indices((pts.shape[0],) * k).reshape(k, -1).T
+                logs.append(log_target(pts[idx], tgt) + np.log(vols)[idx].sum(axis=1))
+            peak = max(v.max() for v in logs)
+            masses = np.array([np.exp(v - peak).sum() for v in logs])
             np.testing.assert_allclose(
-                oracle.cell_masses[k], np.exp(logs[k] - peak) / z, rtol=1e-12, atol=0
+                grid_oracle(tgt, resolution).slice_masses,
+                masses / masses.sum(),
+                rtol=1e-12,
+                atol=0,
+                err_msg=case,
             )
+
+
+class TestUnorderedCells:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 5, 9])
+    def test_each_unordered_tuple_once_with_its_orderings(self, b, k, monkeypatch):
+        monkeypatch.setattr(posterior, "_CELL_CHUNK", 7)
+        chunks = list(_unordered_cells(b, k))
+        assert max(len(idx) for idx, _ in chunks) <= 7
+        idx = np.concatenate([c[0] for c in chunks])
+        orders = np.exp(np.concatenate([c[1] for c in chunks]))
+        assert idx.shape == (math.comb(b + k - 1, k), k)
+        assert (np.diff(idx, axis=1) >= 0).all()
+        assert len({tuple(r) for r in idx}) == len(idx)
+        assert orders.sum() == pytest.approx(b**k, rel=1e-12)
+        ordered = np.sort(np.indices((b,) * k).reshape(k, -1).T, axis=1)
+        counts = {tuple(r): 0 for r in idx}
+        for r in ordered:
+            counts[tuple(r)] += 1
+        np.testing.assert_allclose(orders, [counts[tuple(r)] for r in idx], rtol=1e-12)
+
+    def test_chunks_bounded_at_oracle_sizes(self):
+        for b, k in ((150, 3), (3000, 1), (400, 2)):
+            sizes = [len(idx) for idx, _ in _unordered_cells(b, k)]
+            assert sum(sizes) == math.comb(b + k - 1, k)
+            assert max(sizes) <= _CELL_CHUNK
