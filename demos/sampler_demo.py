@@ -30,8 +30,8 @@ ctx = ScoreContext(
 )
 target = TargetDensity(lambda_at(sched, 3), ctx, prior)
 
-oracle = grid_oracle(target, resolution=200)
-print("grid-oracle cluster-count distribution:", np.round(oracle.k_marginal(), 4))
+oracle = grid_oracle(target, resolution=200)  # the k-marginal
+print("grid-oracle cluster-count distribution:", np.round(oracle, 4))
 
 proposals = StepProposals(
     ctx.observations,
@@ -47,7 +47,7 @@ final, trace = run_chain(state, 50_000, target, proposals, seeded_rng(7, 0))
 ks = trace.k_current[2_000:]
 empirical = np.bincount(ks, minlength=4)[1:] / ks.shape[0]
 print("chain empirical distribution:         ", np.round(empirical, 4))
-print(f"total variation distance: {0.5 * np.abs(empirical - oracle.k_marginal()).sum():.4f}")
+print(f"total variation distance: {0.5 * np.abs(empirical - oracle).sum():.4f}")
 print(f"acceptance rate: {trace.acceptance_rate():.3f}")
 print(f"final state: k={final.k}, centers={np.round(final.centers.points.ravel(), 3)}")
 

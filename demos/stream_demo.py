@@ -28,12 +28,13 @@ print("running 200 steps (500 sampler iterations each)...")
 stream, record = run_synthetic(cfg, spec)
 
 ks = record.k_sequence()
+cum_losses = record.cumulative_losses()
 print(f"\ncorrect cluster-count predictions: {correct_k_count(record, stream.k_true)} / 200")
-print(f"final cumulative loss: {record.steps[-1].cum_loss:.1f}")
+print(f"final cumulative loss: {cum_losses[-1]:.1f}")
 
 print("\n  t   k_true  k_pred  cum_loss")
 for t in range(9, 200, 10):
-    print(f"{t+1:4d} {stream.k_true[t]:7d} {ks[t]:7d} {record.steps[t].cum_loss:10.1f}")
+    print(f"{t+1:4d} {stream.k_true[t]:7d} {ks[t]:7d} {cum_losses[t]:10.1f}")
 
 print("\nper-segment accuracy (segments of 20 steps):")
 for seg in range(10):

@@ -27,7 +27,7 @@ from .priors import (
     log_q,
     sample_prior,
 )
-from .posterior import GridOracle, GridTooLargeError, TargetDensity, grid_oracle, log_target
+from .posterior import GridTooLargeError, TargetDensity, grid_oracle, log_target
 from .proposals import (
     ProposalParams,
     StepProposals,

@@ -69,6 +69,10 @@ class CliError(RuntimeError):
     pass
 
 
+class UsageError(CliError):
+    """Flags that parse one by one but do not fit together (exit 1)."""
+
+
 def _in_range(kind, lo, hi=math.inf, lo_open=False):
     """argparse ``type=`` for an int or float flag in [lo, hi], or (lo, hi]
     when ``lo_open``; NaN and infinities fail the comparisons and are refused."""
@@ -85,6 +89,11 @@ def _in_range(kind, lo, hi=math.inf, lo_open=False):
         return value
 
     return parse
+
+
+def _norm_list(text: str) -> list:
+    """argparse ``type=`` for a comma-separated list of finite norms >= 0."""
+    return [_in_range(float, 0)(v) for v in text.split(",")]
 
 
 def _prepare_outputs(out_dir: str, names, overwrite: bool):
@@ -151,6 +160,9 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     xs, k_true = _load_stream(args)
+    late = [t for t in args.trace_step or () if t > xs.shape[0]]
+    if late:
+        raise CliError(f"--trace-step {late[0]} outside the stream (length {xs.shape[0]})")
     if args.radius_auto:
         schedule = cfg.schedule
         if schedule.kind in ("horizon", "anytime"):
@@ -162,14 +174,14 @@ def _cmd_run(args) -> int:
     rec_path, sum_path = _prepare_outputs(
         args.out, ["records.jsonl", "summary.csv"], args.overwrite
     )
-    trace_steps = set(args.trace_step) if args.trace_step else None
-    record = run_stream(xs, cfg, rep=args.rep, trace_steps=trace_steps)
+    record = run_stream(xs, cfg, rep=args.rep, trace_steps=set(args.trace_step or ()))
     with open(rec_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(record.to_json_lines()) + "\n")
     header = ["t", "k", "loss", "cum_loss"] + (["k_true"] if k_true is not None else [])
+    cum_losses = record.cumulative_losses().tolist()
     rows = []
     for i, s in enumerate(record.steps):
-        row = [s.t, s.k, repr(s.loss), repr(s.cum_loss)]
+        row = [i + 1, s.k, repr(s.loss), repr(cum_losses[i])]
         if k_true is not None:
             row.append(int(k_true[i]))
         rows.append(row)
@@ -268,11 +280,11 @@ def _cmd_trace(args) -> int:
 # --- bounds ---------------------------------------------------------------------
 
 def _cmd_bounds(args) -> int:
-    norms = (
-        [float(v) for v in args.center_norms.split(",")]
-        if args.center_norms
-        else [args.radius] * args.k
-    )
+    if args.k > args.max_clusters:
+        raise UsageError(f"--k {args.k} exceeds --max-clusters {args.max_clusters}")
+    norms = args.center_norms or [args.radius] * args.k
+    if len(norms) != args.k:
+        raise UsageError(f"--center-norms gives {len(norms)} norms, --k {args.k} centers")
     requests = {
         "fixed": lambda: regret_bound_fixed(
             args.k, args.horizon, args.dim, args.radius, args.lam, args.eta, args.max_clusters
@@ -365,14 +377,11 @@ def _toy_target(args) -> TargetDensity:
 
 def _cmd_oracle_check(args) -> int:
     if args.burn_in >= args.iters:
-        print("oracle-check needs --burn-in < --iters", file=sys.stderr)
-        return _USAGE_EXIT
+        raise UsageError("oracle-check needs --burn-in < --iters")
+    if args.prior_only and args.lam is not None:
+        raise UsageError("--lam does not apply with --prior-only (the prior's temperature is 0)")
     tgt = _toy_target(args)
-    try:
-        oracle = grid_oracle(tgt, resolution=args.resolution)
-    except GridTooLargeError as exc:
-        print(f"jumpclust: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+    oracle = grid_oracle(tgt, resolution=args.resolution)  # a grid too large is a usage error
     proposals = StepProposals(
         tgt.ctx.observations,
         tau=proposal_scale(args.max_clusters, tgt.ctx.t + 1),
@@ -386,9 +395,9 @@ def _cmd_oracle_check(args) -> int:
     trace = run_chain(state0, args.iters, tgt, proposals, chain_rng)[1]
     ks = trace.k_current[args.burn_in :]
     empirical = np.bincount(ks, minlength=args.max_clusters + 1)[1:] / ks.shape[0]
-    tv = 0.5 * float(np.abs(empirical - oracle.k_marginal()).sum())
+    tv = 0.5 * float(np.abs(empirical - oracle).sum())
     print(f"empirical k-marginal: {np.array2string(empirical, precision=4)}")
-    print(f"oracle    k-marginal: {np.array2string(oracle.k_marginal(), precision=4)}")
+    print(f"oracle    k-marginal: {np.array2string(oracle, precision=4)}")
     verdict = "PASS" if tv <= args.tv_limit else "FAIL"
     print(f"total variation = {tv:.4f} (limit {args.tv_limit}): {verdict}")
     return 0 if verdict == "PASS" else _RUNTIME_EXIT
@@ -435,15 +444,16 @@ def build_parser() -> _Parser:
     tr.set_defaults(fn=_cmd_trace)
 
     bo = sub.add_parser("bounds", help="evaluate regret-bound remainders")
-    bo.add_argument("--k", type=int, required=True)
-    bo.add_argument("--horizon", type=int, required=True)
-    bo.add_argument("--dim", type=int, required=True)
-    bo.add_argument("--radius", type=float, required=True)
-    bo.add_argument("--eta", type=float, default=0.0)
-    bo.add_argument("--max-clusters", type=int, required=True)
-    bo.add_argument("--lam", type=float, default=None, help="temperature for the fixed bound")
-    bo.add_argument("--prior-scale", type=float, default=1.0)
-    bo.add_argument("--center-norms", default=None,
+    bo.add_argument("--k", type=_in_range(int, 1), required=True)
+    bo.add_argument("--horizon", type=_in_range(int, 1), required=True)
+    bo.add_argument("--dim", type=_in_range(int, 1), required=True)
+    bo.add_argument("--radius", type=_in_range(float, 0, lo_open=True), required=True)
+    bo.add_argument("--eta", type=_in_range(float, 0), default=0.0)
+    bo.add_argument("--max-clusters", type=_in_range(int, 1), required=True)
+    bo.add_argument("--lam", type=_in_range(float, 0, lo_open=True), default=None,
+                    help="temperature for the fixed bound")
+    bo.add_argument("--prior-scale", type=_in_range(float, 0, lo_open=True), default=1.0)
+    bo.add_argument("--center-norms", type=_norm_list, default=None,
                     help="comma-separated |c_j| norms for the heavy-tailed bound "
                          "(default: radius for every center)")
     bo.add_argument("--json", action="store_true")
@@ -480,6 +490,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (UsageError, GridTooLargeError) as exc:
+        print(f"jumpclust: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
     except (CliError, OSError, ValueError) as exc:
         print(f"jumpclust: {exc}", file=sys.stderr)
         return _RUNTIME_EXIT

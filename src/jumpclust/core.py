@@ -4,6 +4,8 @@ Everything downstream (scoring, priors, the sampler, the stream runner)
 builds on the types defined here.  All of them are immutable after
 construction and safe to share across threads; random streams are derived
 per (repetition, time step, purpose) so that runs replay bit-identically.
+Run records store each fact once; step numbers, k, cumulative losses and
+the dimension are derived from the stored predictions and losses.
 """
 
 from __future__ import annotations
@@ -95,10 +97,6 @@ class Centers:
 
     def to_list(self) -> list:
         return self.points.tolist()
-
-    @classmethod
-    def from_list(cls, rows: Iterable[Iterable[float]]) -> "Centers":
-        return cls(np.asarray(list(rows), dtype=float))
 
 
 def clip_to_ball(points: np.ndarray, radius: float) -> np.ndarray:
@@ -217,49 +215,39 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One time step of a run: the prediction used at t and its loss.
+    """One time step of a run: the prediction in force when x_t arrived and its loss.
 
     ``trace`` (optional) holds the sampler trace of the chain run after
     observation t, i.e. the chain that produced the step-(t+1) prediction.
     """
 
-    t: int
-    k: int
     centers: Centers
     loss: float
-    cum_loss: float
     trace: Optional[object] = None  # ChainTrace
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "kind": "step",
-            "t": self.t,
-            "k": self.k,
-            "centers": self.centers.to_list(),
-            "loss": self.loss,
-            "cum_loss": self.cum_loss,
-        }
-        if self.trace is not None:
-            out["trace"] = self.trace.to_json_dict()
-        return out
+    @property
+    def k(self) -> int:
+        return self.centers.k
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Complete, replayable record of one stream run."""
+    """Complete, replayable record of one stream run.
+
+    Each fact is stored once: the step number, k, the cumulative loss and
+    the dimension are derived from ``steps`` and ``final_centers``.
+    ``records.jsonl`` writes them out and :meth:`from_json_lines` checks
+    them against what they are derived from.
+    """
 
     seed: int
     rep: int
-    dim: int
     steps: tuple  # of StepRecord
     final_centers: Centers
 
-    def __post_init__(self):
-        cum = 0.0
-        for s in self.steps:
-            cum += s.loss
-            if not math.isclose(s.cum_loss, cum, rel_tol=1e-12, abs_tol=1e-12):
-                raise ValueError(f"cumulative loss mismatch at t={s.t}")
+    @property
+    def dim(self) -> int:
+        return self.final_centers.dim
 
     @property
     def horizon(self) -> int:
@@ -272,27 +260,26 @@ class RunRecord:
         return np.array([s.loss for s in self.steps], dtype=float)
 
     def cumulative_losses(self) -> np.ndarray:
-        return np.array([s.cum_loss for s in self.steps], dtype=float)
+        return np.cumsum(self.losses())  # a sequential sum, step by step
 
     def to_json_lines(self) -> list:
-        lines = [
-            json.dumps(
-                {"kind": "header", "seed": self.seed, "rep": self.rep, "dim": self.dim},
-                sort_keys=True,
-            )
-        ]
-        for s in self.steps:
-            lines.append(json.dumps(s.to_json_dict(), sort_keys=True))
-        lines.append(
-            json.dumps({"kind": "final", "centers": self.final_centers.to_list()}, sort_keys=True)
-        )
-        return lines
+        header = {"kind": "header", "seed": self.seed, "rep": self.rep, "dim": self.dim}
+        lines = [json.dumps(header, sort_keys=True)]
+        for t, (s, cum) in enumerate(zip(self.steps, self.cumulative_losses().tolist()), start=1):
+            step = {"kind": "step", "t": t, "k": s.k, "centers": s.centers.to_list(),
+                    "loss": s.loss, "cum_loss": cum}
+            if s.trace is not None:
+                step["trace"] = s.trace.to_json_dict()
+            lines.append(json.dumps(step, sort_keys=True))
+        final = {"kind": "final", "centers": self.final_centers.to_list()}
+        return lines + [json.dumps(final, sort_keys=True)]
 
     @classmethod
     def from_json_lines(cls, lines: Iterable[str]) -> "RunRecord":
-        header = None
-        steps = []
-        final = None
+        """Parse ``records.jsonl``; a step's ``t``, ``k`` or ``cum_loss``, or the
+        header's ``dim``, that disagrees with what it is derived from is refused."""
+        header = final = None
+        steps, cum = [], 0.0
         for raw in lines:
             raw = raw.strip()
             if not raw:
@@ -307,29 +294,22 @@ class RunRecord:
                     from .chain import ChainTrace
 
                     trace = ChainTrace.from_json_dict(trace)
-                steps.append(
-                    StepRecord(
-                        t=obj["t"],
-                        k=obj["k"],
-                        centers=Centers.from_list(obj["centers"]),
-                        loss=obj["loss"],
-                        cum_loss=obj["cum_loss"],
-                        trace=trace,
-                    )
-                )
+                step = StepRecord(Centers(obj["centers"]), obj["loss"], trace)
+                steps.append(step)
+                cum += step.loss
+                if obj["t"] != len(steps) or obj["k"] != step.k:
+                    raise ValueError(f"step {len(steps)} stores t={obj['t']}, k={obj['k']}")
+                if not math.isclose(obj["cum_loss"], cum, rel_tol=1e-12, abs_tol=1e-12):
+                    raise ValueError(f"cumulative loss mismatch at t={len(steps)}")
             elif kind == "final":
-                final = Centers.from_list(obj["centers"])
+                final = Centers(obj["centers"])
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
         if header is None or final is None:
             raise ValueError("record stream is missing header or final line")
-        return cls(
-            seed=header["seed"],
-            rep=header["rep"],
-            dim=header["dim"],
-            steps=tuple(steps),
-            final_centers=final,
-        )
+        if header["dim"] != final.dim:
+            raise ValueError(f"header dim {header['dim']} != final centers' dim {final.dim}")
+        return cls(seed=header["seed"], rep=header["rep"], steps=tuple(steps), final_centers=final)
 
 
 # --- configuration files -------------------------------------------------

@@ -26,7 +26,7 @@ __all__ = [
     "stream_csv_rows",
 ]
 
-_KINDS = ("sine_drift", "gaussian_mixture", "fixed_points")
+_KINDS = ("sine_drift", "gaussian_mixture")
 
 
 @dataclass(frozen=True)
@@ -36,24 +36,19 @@ class SyntheticSpec:
     kind="sine_drift"
         Needs only ``horizon`` (number of steps); dimension is 2.
     kind="gaussian_mixture"
-        Static mixture: ``centers`` (m, d), optional ``covariances``
-        (m, d, d) defaulting to identity, ``weights`` (m,) summing to 1,
-        and ``horizon``.
-    kind="fixed_points"
-        Pass-through of ``points`` (T, d); no randomness.
+        Static mixture with identity covariance: ``centers`` (m, d),
+        ``weights`` (m,) summing to 1 (default uniform), and ``horizon``.
     """
 
     kind: str
     horizon: int = 200
     centers: Optional[tuple] = None
-    covariances: Optional[tuple] = None
     weights: Optional[tuple] = None
-    points: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind != "fixed_points" and self.horizon < 1:
+        if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.kind == "gaussian_mixture":
             if self.centers is None:
@@ -63,8 +58,6 @@ class SyntheticSpec:
             if len(w) != m or not math.isclose(sum(w), 1.0, rel_tol=0, abs_tol=1e-9):
                 raise ValueError("weights must match centers and sum to 1")
             object.__setattr__(self, "weights", tuple(float(v) for v in w))
-        if self.kind == "fixed_points" and self.points is None:
-            raise ValueError("fixed_points needs points")
 
 
 @dataclass(frozen=True)
@@ -109,11 +102,6 @@ def sine_drift_observation(t: int, rng) -> np.ndarray:
 
 def generate(spec: SyntheticSpec, rng) -> SyntheticStream:
     """Materialize the stream described by ``spec`` using ``rng``."""
-    if spec.kind == "fixed_points":
-        xs = np.asarray(spec.points, dtype=float)
-        if xs.ndim == 1:
-            xs = xs.reshape(-1, 1)
-        return SyntheticStream(xs=xs)
     if spec.kind == "sine_drift":
         xs = np.empty((spec.horizon, 2))
         for t in range(1, spec.horizon + 1):
@@ -123,16 +111,8 @@ def generate(spec: SyntheticSpec, rng) -> SyntheticStream:
     # gaussian_mixture
     centers = np.asarray(spec.centers, dtype=float)
     m, d = centers.shape
-    covs = (
-        np.asarray(spec.covariances, dtype=float)
-        if spec.covariances is not None
-        else np.broadcast_to(np.eye(d), (m, d, d))
-    )
-    chols = np.linalg.cholesky(covs)
     comps = rng.choice(m, size=spec.horizon, p=np.asarray(spec.weights))
-    noise = rng.standard_normal((spec.horizon, d))
-    xs = centers[comps] + np.einsum("tij,tj->ti", chols[comps], noise)
-    return SyntheticStream(xs=xs)
+    return SyntheticStream(xs=centers[comps] + rng.standard_normal((spec.horizon, d)))
 
 
 def stream_csv_rows(stream: SyntheticStream) -> list:

@@ -236,13 +236,8 @@ def student_kl_bound(
         raise ValueError("locations must lie inside the radius-R ball")
     if eta < 0 or max_clusters < 1 or k < 1 or k > max_clusters:
         raise ValueError("invalid k / eta / max_clusters")
-    # constant from the lower bound on a block's in-ball mass
-    log_cd = (
-        math.lgamma((3 + dim) / 2)
-        - math.lgamma(1.5)
-        - math.lgamma(dim / 2 + 1)
-        - (dim / 2) * math.log(6.0)
-    )
+    # constant from the lower bound on a block's in-ball mass: log(c_d^d / 6^(d/2))
+    log_cd = dim * math.log(student_dim_constant(dim)) - (dim / 2) * math.log(6.0)
     per_block = 0.5 * (3 + dim) * np.log1p(xi**2 / (6.0 * tau**2)) - 0.5 * dim * np.log(xi**2)
     log_arg = 1.0 + tau / prior_scale + loc_norms.sum() / (math.sqrt(6.0) * k * prior_scale)
     return float(

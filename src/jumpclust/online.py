@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Container, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -165,17 +165,6 @@ def lambda_at(schedule: TemperatureSchedule, t: int) -> float:
     return schedule.values[t]
 
 
-TraceSteps = Union[None, str, set, frozenset]
-
-
-def _want_trace(trace_steps: TraceSteps, t: int) -> bool:
-    if trace_steps is None:
-        return False
-    if trace_steps == "all":
-        return True
-    return t in trace_steps
-
-
 def variance_weight(cfg: StreamConfig, t_prev: int) -> float:
     """Coefficient of the score's variance term for the observation after t_prev.
 
@@ -201,14 +190,14 @@ def run_stream(
     data: Iterable,
     cfg: StreamConfig,
     rep: int = 0,
-    trace_steps: TraceSteps = None,
+    trace_steps: Container[int] = (),
 ) -> RunRecord:
     """Run the online clustering loop over a stream of observations.
 
     The step-t record holds the prediction that was in force when x_t
-    arrived, its loss, and (when requested through ``trace_steps``, a set
-    of step indices or ``"all"``) the trace of the sampler run triggered
-    by x_t.  Identical (cfg, data, seed, rep) replay bit-identically.
+    arrived, its loss, and (when t is in ``trace_steps``, a collection of
+    1-based step numbers) the trace of the sampler run triggered by x_t.
+    Identical (cfg, data, seed, rep) replay bit-identically.
     """
     prior = PriorSpec.from_config(cfg)
     current = sample_prior(prior, seeded_rng(cfg.seed, (_INIT_STREAM, rep)))
@@ -216,7 +205,6 @@ def run_stream(
     jitter_scale = cfg.radius if math.isfinite(cfg.radius) else cfg.prior_scale
     steps = []
     fits = {}  # k -> the latest k-means fit of any step, the next fit's warm start
-    cum = 0.0
     warned = False
 
     for t, raw in enumerate(data, start=1):
@@ -231,7 +219,6 @@ def run_stream(
                 warned = True
 
         loss = instantaneous_loss(current, x)
-        cum += loss
         observations.append(x)
         ref_losses.append(loss)
         lam_prev.append(variance_weight(cfg, t - 1))
@@ -256,21 +243,10 @@ def run_stream(
             state0, cfg.chain_length, tgt, proposals, seeded_rng(cfg.seed, (_CHAIN_STREAM, rep, t))
         )
 
-        steps.append(
-            StepRecord(
-                t=t,
-                k=current.k,
-                centers=current,
-                loss=loss,
-                cum_loss=cum,
-                trace=trace if _want_trace(trace_steps, t) else None,
-            )
-        )
+        steps.append(StepRecord(current, loss, trace if t in trace_steps else None))
         current = final.centers
 
-    return RunRecord(
-        seed=cfg.seed, rep=rep, dim=cfg.dim, steps=tuple(steps), final_centers=current
-    )
+    return RunRecord(seed=cfg.seed, rep=rep, steps=tuple(steps), final_centers=current)
 
 
 def run_synthetic(cfg: StreamConfig, spec, rep: int = 0):

@@ -15,7 +15,8 @@ k-slice is invariant under relabelling its centers (the prior is q(k)
 times k i.i.d. blocks, the score a min over centers), so the oracle
 evaluates each unordered tuple of block cells once and weights it by its
 number of distinct orderings; the sum equals the one over all ordered
-tuples.  It exists to validate the sampler, not to be fast.
+tuples.  It returns the k-marginal, the (p,) array of slice
+probabilities, and exists to validate the sampler, not to be fast.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "TargetDensity",
     "log_target",
     "GridTooLargeError",
-    "GridOracle",
     "grid_oracle",
 ]
 
@@ -160,19 +160,9 @@ def _unordered_cells(b: int, k: int):
         idx, last, run, log_runs = nidx, nxt, nrun, nlog
 
 
-@dataclass(frozen=True)
-class GridOracle:
-    """Normalized Riemann-sum masses of the target's k-slices."""
-
-    resolution: int
-    slice_masses: np.ndarray  # (p,) probability of each k-slice
-
-    def k_marginal(self) -> np.ndarray:
-        return self.slice_masses
-
-
-def grid_oracle(tgt: TargetDensity, resolution: int) -> GridOracle:
-    """Brute-force normalization of the target on a toy instance.
+def grid_oracle(tgt: TargetDensity, resolution: int) -> np.ndarray:
+    """Brute-force normalization of the target on a toy instance: the
+    read-only (p,) array of k-slice probabilities (the k-marginal).
 
     Each unordered tuple of block cells (a nondecreasing index tuple) is
     evaluated once through :func:`log_target` and counted once per
@@ -208,4 +198,6 @@ def grid_oracle(tgt: TargetDensity, resolution: int) -> GridOracle:
     ]
     peak = max(float(v.max()) for v in slice_logs)
     unnorm = np.array([float(np.exp(v - peak).sum()) for v in slice_logs])
-    return GridOracle(resolution=resolution, slice_masses=unnorm / unnorm.sum())
+    masses = unnorm / unnorm.sum()
+    masses.flags.writeable = False
+    return masses

@@ -159,7 +159,7 @@ class TestCriterion3SamplerVsOracle:
         _, trace = run_chain(state, 22_000, tgt, props, seeded_rng(61, 0))
         ks = trace.k_current[2_000:]  # 2e4 post-burn-in iterations
         empirical = np.bincount(ks, minlength=4)[1:] / ks.shape[0]
-        oracle = grid_oracle(tgt, resolution=150).k_marginal()
+        oracle = grid_oracle(tgt, resolution=150)
         tv = 0.5 * float(np.abs(empirical - oracle).sum())
         ok = tv <= 0.05
         report("3a sampler-vs-oracle", ok, f"TV={tv:.4f} (limit 0.05)")

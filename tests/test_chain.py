@@ -282,7 +282,7 @@ class TestStepAndChain:
         ks = trace.k_current[2_000:]
         empirical = np.bincount(ks, minlength=4)[1:] / ks.shape[0]
         oracle = grid_oracle(tgt, resolution=150)
-        tv = 0.5 * np.abs(empirical - oracle.k_marginal()).sum()
+        tv = 0.5 * np.abs(empirical - oracle).sum()
         assert tv <= 0.05
 
 

@@ -120,6 +120,30 @@ class TestRun:
         assert record.steps[0].trace is None
         assert record.to_json_lines() == lines
 
+    def test_trace_step_beyond_stream_refused_before_sampling(
+        self, small_config_path, tmp_path, monkeypatch, capsys
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the stream ran before --trace-step was checked")
+
+        monkeypatch.setattr(cli, "run_stream", no_run)
+        out = tmp_path / "out"
+        code = main(["run", "--config", small_config_path, "--synthetic", "sine_drift",
+                     "--horizon", "4", "--trace-step", "2", "--trace-step", "9", "--out", str(out)])
+        assert code == 2
+        assert "--trace-step 9 outside the stream (length 4)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summary_cum_loss_is_running_sum_of_losses(self, small_config_path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", small_config_path, "--synthetic", "sine_drift",
+                     "--horizon", "6", "--out", str(out)]) == 0
+        rows = read_csv(out / "summary.csv")[1:]
+        record = RunRecord.from_json_lines((out / "records.jsonl").read_text().splitlines())
+        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+        assert [float(r[3]) for r in rows] == record.cumulative_losses().tolist()
+        assert [int(r[1]) for r in rows] == record.k_sequence().tolist()
+
     def test_seed_override_changes_run(self, small_config_path, tmp_path):
         outs = []
         for seed in (17, 18):  # 17 is the config's own seed
@@ -273,6 +297,39 @@ class TestBounds:
         assert "error" in out["fixed"]
         assert "value" in out["anytime"] and "value" in out["student"]
 
+    USAGE_CASES = {
+        "k-0": (["--k", "0"], "--k: must be >= 1"),
+        "horizon-0": (["--horizon", "0"], "--horizon: must be >= 1"),
+        "dim-0": (["--dim", "0"], "--dim: must be >= 1"),
+        "max-clusters-0": (["--max-clusters", "0"], "--max-clusters: must be >= 1"),
+        "radius-nan": (["--radius", "nan"], "--radius: must be > 0 and finite"),
+        "radius-0": (["--radius", "0"], "--radius: must be > 0 and finite"),
+        "eta-negative": (["--eta", "-1"], "--eta: must be >= 0 and finite"),
+        "lam-0": (["--lam", "0"], "--lam: must be > 0 and finite"),
+        "prior-scale-inf": (["--prior-scale", "inf"], "--prior-scale: must be > 0 and finite"),
+        "k-above-max-clusters": (["--k", "21"], "--k 21 exceeds --max-clusters 20"),
+        "norm-count": (["--k", "3", "--center-norms", "1,2"], "gives 2 norms, --k 3 centers"),
+        "norm-not-a-number": (["--k", "2", "--center-norms", "1,x"], "invalid float value: 'x'"),
+        "norm-nan": (["--k", "2", "--center-norms", "1,nan"], "must be >= 0 and finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE_CASES))
+    def test_usage_errors_exit_1_before_any_bound(self, case, capsys):
+        flags, message = self.USAGE_CASES[case]
+        assert exit_code(self.ARGS + flags) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_center_norms_reach_the_student_bound(self, capsys):
+        args = self.ARGS[:]
+        args[args.index("--k") + 1] = "2"
+        assert main(args + ["--center-norms", "3,4.5", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["student"]["value"] == regret_bound_student(
+            2, 200, 2, 15.0, 1.0, 0.0, 20, [3.0, 4.5]
+        )
+
     def test_json_round_trips(self, capsys):
         assert main(self.ARGS + ["--json"]) == 0
         text = capsys.readouterr().out
@@ -316,6 +373,16 @@ class TestOracleCheck:
         assert exit_code(["oracle-check", *flags]) == 1
         captured = capsys.readouterr()
         assert "grid would need" in captured.err
+        assert "total variation" not in captured.out
+
+    def test_prior_only_refuses_lam_before_sampling(self, monkeypatch, capsys):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the chain ran before --lam was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        assert exit_code(["oracle-check", "--prior-only", "--lam", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "--lam does not apply with --prior-only" in captured.err
         assert "total variation" not in captured.out
 
     def test_prior_only_quick(self, capsys):

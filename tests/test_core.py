@@ -63,7 +63,7 @@ class TestCenters:
         rng = seeded_rng(3, 0)
         pts = rng.standard_normal((5, 3)) * 1e-3 + 0.1
         c = Centers(pts)
-        again = Centers.from_list(json.loads(json.dumps(c.to_list())))
+        again = Centers(json.loads(json.dumps(c.to_list())))
         assert again == c
 
 
@@ -201,22 +201,45 @@ class TestRunRecord:
     def _record(self):
         c1 = Centers([[0.0, 0.0]])
         c2 = Centers([[0.5, 0.5], [1.0, -1.0]])
-        steps = (
-            StepRecord(t=1, k=1, centers=c1, loss=2.0, cum_loss=2.0),
-            StepRecord(t=2, k=2, centers=c2, loss=0.25, cum_loss=2.25),
-        )
-        return RunRecord(seed=5, rep=0, dim=2, steps=steps, final_centers=c2)
+        steps = (StepRecord(c1, 2.0), StepRecord(c2, 0.1), StepRecord(c2, 0.2))
+        return RunRecord(seed=5, rep=0, steps=steps, final_centers=c2)
 
-    def test_cumulative_consistency_enforced(self):
-        c = Centers([[0.0]])
-        with pytest.raises(ValueError, match="cumulative"):
-            RunRecord(
-                seed=0,
-                rep=0,
-                dim=1,
-                steps=(StepRecord(t=1, k=1, centers=c, loss=1.0, cum_loss=5.0),),
-                final_centers=c,
-            )
+    def test_derived_facts(self):
+        rec = self._record()
+        assert rec.dim == 2 and rec.horizon == 3
+        assert rec.k_sequence().tolist() == [1, 2, 2]
+        # the running sum, added step by step in order
+        assert rec.cumulative_losses().tolist() == [2.0, 2.0 + 0.1, 2.0 + 0.1 + 0.2]
+        steps = [json.loads(line) for line in rec.to_json_lines()[1:-1]]
+        assert [(s["t"], s["k"], s["cum_loss"]) for s in steps] == [
+            (1, 1, 2.0), (2, 2, 2.1), (3, 2, 2.0 + 0.1 + 0.2)
+        ]
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("t", 3, "stores t=3"), ("k", 1, "k=1"), ("cum_loss", 2.2, "cumulative loss mismatch")],
+        ids=["t", "k", "cum_loss"],
+    )
+    def test_from_json_lines_rejects_tampered_derived_fields(self, field, value, match):
+        lines = self._record().to_json_lines()
+        step = json.loads(lines[2])
+        step[field] = value
+        lines[2] = json.dumps(step, sort_keys=True)
+        with pytest.raises(ValueError, match=match):
+            RunRecord.from_json_lines(lines)
+
+    def test_from_json_lines_tolerates_cum_loss_rounding(self):
+        lines = self._record().to_json_lines()
+        step = json.loads(lines[3])
+        step["cum_loss"] *= 1 + 1e-14
+        lines[3] = json.dumps(step, sort_keys=True)
+        assert RunRecord.from_json_lines(lines).horizon == 3
+
+    def test_from_json_lines_rejects_header_dim_mismatch(self):
+        lines = self._record().to_json_lines()
+        lines[0] = lines[0].replace('"dim": 2', '"dim": 3')
+        with pytest.raises(ValueError, match="header dim 3"):
+            RunRecord.from_json_lines(lines)
 
     def test_json_lines_roundtrip_bit_exact(self):
         rec = self._record()

@@ -76,10 +76,14 @@ class TestGenerate:
             outside += int((norms > 15.0).sum())
         assert outside / total <= 0.001
 
-    def test_fixed_points_passthrough(self):
-        pts = ((0.0, 1.0), (2.0, -1.0), (0.5, 0.5))
-        stream = generate(SyntheticSpec(kind="fixed_points", points=pts), seeded_rng(85, 0))
-        np.testing.assert_array_equal(stream.xs, np.asarray(pts))
+    def test_gaussian_mixture_is_centre_plus_standard_normal(self):
+        centers = ((6.0, 0.0), (-6.0, 0.0), (0.0, 6.0))
+        spec = SyntheticSpec(kind="gaussian_mixture", horizon=50, centers=centers)
+        stream = generate(spec, seeded_rng(85, 0))
+        rng = seeded_rng(85, 0)
+        comps = rng.choice(3, size=50, p=[1 / 3] * 3)
+        expected = np.asarray(centers)[comps] + rng.standard_normal((50, 2))
+        np.testing.assert_array_equal(stream.xs, expected)
         assert stream.k_true is None
 
     def test_gaussian_mixture_shapes_and_means(self):

@@ -25,12 +25,8 @@ from jumpclust.online import run_synthetic_repetitions
 
 def record_with_ks(ks, losses=None):
     losses = losses if losses is not None else [1.0] * len(ks)
-    cum, steps = 0.0, []
-    for t, (k, loss) in enumerate(zip(ks, losses), start=1):
-        cum += loss
-        c = Centers(np.zeros((k, 2)))
-        steps.append(StepRecord(t=t, k=k, centers=c, loss=loss, cum_loss=cum))
-    return RunRecord(seed=0, rep=0, dim=2, steps=tuple(steps), final_centers=Centers(np.zeros((1, 2))))
+    steps = tuple(StepRecord(Centers(np.zeros((k, 2))), loss) for k, loss in zip(ks, losses))
+    return RunRecord(seed=0, rep=0, steps=steps, final_centers=Centers(np.zeros((1, 2))))
 
 
 class TestOcl:
@@ -263,10 +259,9 @@ class TestRegretReport:
     def test_requires_truth(self):
         cfg = StreamConfig(dim=1, max_clusters=2, radius=5.0, chain_length=10, seed=3)
         from jumpclust.online import run_stream
-        from jumpclust.datagen import SyntheticStream, generate
+        from jumpclust.datagen import SyntheticStream
 
-        spec = SyntheticSpec(kind="fixed_points", points=((0.0,), (1.0,)))
-        stream = generate(spec, seeded_rng(0, 0))
+        stream = SyntheticStream(xs=np.array([[0.0], [1.0]]))
         rec = run_stream(stream.xs, cfg)
         with pytest.raises(ValueError, match="true cluster counts"):
             regret_report([(stream, rec)], radius=5.0, eta=0.0, max_clusters=2, dim=1)

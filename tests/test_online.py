@@ -184,7 +184,7 @@ class TestRunStream:
         cfg = small_config()
         xs = generate(SyntheticSpec(kind="sine_drift", horizon=6), seeded_rng(8, 0)).xs
         plain = run_stream(xs, cfg)
-        traced = run_stream(xs, cfg, trace_steps="all")
+        traced = run_stream(xs, cfg, trace_steps=range(1, 7))
         assert [s.centers for s in plain.steps] == [s.centers for s in traced.steps]
 
     def test_label_correction_changes_dynamics_not_contract(self):
@@ -247,7 +247,7 @@ class TestGoldenRecords:
             dim=2, max_clusters=8, radius=15.0, chain_length=100, seed=7, label_correction=True
         )
         xs = generate(SyntheticSpec(kind="sine_drift", horizon=15), seeded_rng(7, 0)).xs
-        rec = run_stream(xs, cfg, trace_steps="all")
+        rec = run_stream(xs, cfg, trace_steps=range(1, 16))
         assert self.sha1(rec) == SINE_DRIFT_SHA1
 
     def test_gaussian_mixture_student_prior(self):
@@ -258,5 +258,5 @@ class TestGoldenRecords:
         spec = SyntheticSpec(
             kind="gaussian_mixture", horizon=15, centers=((6.0, 0.0), (-6.0, 0.0), (0.0, 6.0))
         )
-        rec = run_stream(generate(spec, seeded_rng(7, 1)).xs, cfg, trace_steps="all")
+        rec = run_stream(generate(spec, seeded_rng(7, 1)).xs, cfg, trace_steps=range(1, 16))
         assert self.sha1(rec) == MIXTURE_SHA1
