@@ -16,7 +16,9 @@ formula.
 
 Candidates do not depend on the chain's history, so they are drawn ahead,
 per k, into an append-only pool of i.i.d. draws evaluated in batched chunks;
-each draw is used at most once, so the chain stays exact.
+each draw is used at most once, so the chain stays exact.  The move loop
+reads each chunk's two densities once as floats and builds a state only
+when a move is accepted.
 """
 
 from __future__ import annotations
@@ -41,16 +43,19 @@ __all__ = [
     "initial_state",
 ]
 
-# rows per pool chunk, evaluated in one batched call; it bounds the batched
-# score's (rows, k, d, t) temporary
+# rows per pool chunk; each chunk is drawn by its own student_sample call
 _POOL_ROWS = 32
+# a refill evaluates as many chunks as the pool holds (at least one) in one
+# batched call, capped so that the score's (rows, k, d, t) temporary keeps
+# to this many elements
+_BATCH_ELEMENTS = 2**15
 # one chain draw per iteration, uniform on [0, 3 * 2**50): its residue mod 3
 # gives the dimension offset (exactly 1/3 each of -1, 0, +1) and its
 # quotient, times 2**-50, the acceptance uniform
 _DRAW_RANGE = 3 << 50
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ChainState:
     """A center vector with its log-target and its proposal log-density.
 
@@ -136,43 +141,48 @@ class CandidateSupply:
         self._rngs = {}
 
     def refill(self, k: int) -> None:
-        """Append pool k's next chunk, each density evaluated in one batched call."""
+        """Append pool k's next chunks, as many as it holds (at least one, at most
+        ``_BATCH_ELEMENTS`` allows), each drawn by its own ``student_sample``
+        call and all evaluated in one batched call of each density."""
         chunks = self.chunks[k]
         if not chunks:
             self._rngs[k] = seeded_rng(self.seed, k)
         params = self.proposals.params(k)
-        points = student_sample(params, _POOL_ROWS, self._rngs[k])
+        chunk_elements = _POOL_ROWS * k * self.tgt.prior.dim * max(self.tgt.ctx.t, 1)
+        n = max(1, min(len(chunks), _BATCH_ELEMENTS // chunk_elements))
+        points = np.concatenate([student_sample(params, _POOL_ROWS, self._rngs[k]) for _ in range(n)])
         if not np.isfinite(points).all():
             raise ValueError("candidate centers must have finite coordinates")
         points.flags.writeable = False
-        chunks.append((points, log_target(points, self.tgt), student_log_density(points, params)))
+        log_density, log_proposal = log_target(points, self.tgt), student_log_density(points, params)
+        for i in range(0, len(points), _POOL_ROWS):
+            rows = slice(i, i + _POOL_ROWS)
+            chunks.append((points[rows], log_density[rows], log_proposal[rows]))
 
 
-def acceptance_log_prob(current: ChainState, candidate: ChainState) -> float:
-    """log of the move's acceptance probability (always <= 0).
+def acceptance_log_prob(current: ChainState, log_density: float, log_proposal: float) -> float:
+    """log of the acceptance probability (always <= 0) of a move from
+    ``current`` to a candidate with the given log-target and proposal
+    log-density.
 
     The dimension-proposal ratio is identically 1 under the symmetric
     boundary rule and is therefore omitted.
     """
     if not math.isfinite(current.log_density):
         raise ValueError("current chain state lies outside the target support")
-    if candidate.log_density == -math.inf:
+    if log_density == -math.inf:
         return -math.inf
-    delta = (
-        candidate.log_density
-        - current.log_density
-        + current.log_proposal
-        - candidate.log_proposal
-    )
-    return min(0.0, delta)
+    delta = log_density - current.log_density + current.log_proposal - log_proposal
+    return delta if delta < 0.0 else 0.0
 
 
-def step(state: ChainState, candidate: ChainState, u: float):
-    """One Metropolis-Hastings move to a pre-evaluated candidate, accepted when
-    the uniform ``u`` falls below alpha.  Returns (new_state, (k', alpha, accepted))."""
-    alpha = math.exp(acceptance_log_prob(state, candidate))
+def step(state: ChainState, k: int, log_density: float, log_proposal: float, u: float):
+    """One Metropolis-Hastings move from ``state`` to a pre-evaluated candidate
+    of dimension ``k``, accepted when the uniform ``u`` falls below alpha.
+    Returns (accepted, (k, alpha, accepted)); the caller builds the new state."""
+    alpha = math.exp(acceptance_log_prob(state, log_density, log_proposal))
     accepted = u < alpha
-    return (candidate if accepted else state), (candidate.k, alpha, accepted)
+    return accepted, (k, alpha, accepted)
 
 
 def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: StepProposals, rng):
@@ -197,18 +207,27 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     v = rng.integers(0, _DRAW_RANGE, size=n_steps)
     offsets, uniforms = (v % 3 - 1).tolist(), ((v // 3) * 2.0**-50).tolist()
     pools = supply.chunks
+    # per k, the two densities of the pool rows from the chunk this run first
+    # enters on, as floats: row i is at i - firsts[k]
+    firsts = [i - i % _POOL_ROWS for i in cursors]
+    lds, lps = [[] for _ in pools], [[] for _ in pools]
     state, k, rows = init, init.k, []
     for offset, u in zip(offsets, uniforms):
         kp = k + offset if 1 <= k + offset <= p else k
-        c, r = divmod(cursors[kp], _POOL_ROWS)
-        if c == len(pools[kp]):
-            supply.refill(kp)
-        points, log_density, log_proposal = pools[kp][c]
-        cursors[kp] += 1
-        candidate = ChainState(points[r], log_density.item(r), log_proposal.item(r))
-        state, (_, a, acc) = step(state, candidate, u)
-        k = kp if acc else k
-        rows.append((kp, a, acc, k))
+        i = cursors[kp]
+        cursors[kp] = i + 1
+        ld, lp, j = lds[kp], lps[kp], i - firsts[kp]
+        if j >= len(ld):
+            c = i // _POOL_ROWS
+            if c == len(pools[kp]):
+                supply.refill(kp)
+            ld += pools[kp][c][1].tolist()
+            lp += pools[kp][c][2].tolist()
+        accepted, move = step(state, kp, ld[j], lp[j], u)
+        if accepted:
+            c, r = divmod(i, _POOL_ROWS)
+            state, k = ChainState(pools[kp][c][0][r], ld[j], lp[j]), kp
+        rows.append((*move, k))
     trace = ChainTrace(*map(np.array, zip(*rows)))  # rows are (k', alpha, accepted, k)
     return replace(state, supply=supply, cursors=tuple(cursors)), trace
 

@@ -136,7 +136,7 @@ class KMeansConfig:
             raise ValueError("kmeans restarts must be >= 1")
         if self.max_iter < 1:
             raise ValueError("kmeans max_iter must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("kmeans tol must be >= 0")
 
 
@@ -192,12 +192,12 @@ class StreamConfig:
             raise ValueError("radius must be > 0")
         if math.isinf(self.radius) and self.prior_kind != "student":
             raise ValueError("radius=inf is only supported with the student prior")
-        if self.decay < 0:
-            raise ValueError("decay must be >= 0")
+        if not 0 <= self.decay < math.inf:
+            raise ValueError("decay must be >= 0 and finite")
         if self.prior_kind not in ("uniform", "student"):
             raise ValueError(f"unknown prior_kind {self.prior_kind!r}")
-        if self.prior_scale <= 0:
-            raise ValueError("prior_scale must be > 0")
+        if not 0 < self.prior_scale < math.inf:
+            raise ValueError("prior_scale must be > 0 and finite")
         if self.chain_length < 1:
             raise ValueError("chain_length must be >= 1")
         if self.schedule is None:

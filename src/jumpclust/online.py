@@ -85,15 +85,15 @@ class TemperatureSchedule:
             if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} schedule does not read field {name!r}")
         if self.kind == "fixed":
-            if self.value is None or self.value <= 0:
-                raise ValueError("fixed schedule needs value > 0")
+            if self.value is None or not 0 < self.value < math.inf:
+                raise ValueError("fixed schedule needs a value > 0 and finite")
         if self.kind == "horizon" and self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.kind == "custom":
             if not self.values:
                 raise ValueError("custom schedule needs a non-empty values tuple")
-            if any(v <= 0 for v in self.values):
-                raise ValueError("custom schedule values must be > 0")
+            if not all(0 < v < math.inf for v in self.values):
+                raise ValueError("custom schedule values must be > 0 and finite")
         if self.values is not None:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 

@@ -158,10 +158,10 @@ class PriorSpec:
             raise ValueError("radius must be > 0")
         if math.isinf(self.radius) and self.kind != "student":
             raise ValueError("only the student prior supports radius=inf")
-        if self.decay < 0:
-            raise ValueError("decay must be >= 0")
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        if not 0 <= self.decay < math.inf:
+            raise ValueError("decay must be >= 0 and finite")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be > 0 and finite")
         if self.kind == "student":
             object.__setattr__(
                 self, "trunc", estimate_truncation_prob(self.dim, self.radius, self.scale)

@@ -192,8 +192,8 @@ class TestCriterion4DetailedBalance:
             b = Centers(rng.uniform(-2, 2, size=(k, 1)))
             sa = ChainState(a.points, log_target(a, tgt), student_log_density(a, params))
             sb = ChainState(b.points, log_target(b, tgt), student_log_density(b, params))
-            lab = acceptance_log_prob(sa, sb)
-            lba = acceptance_log_prob(sb, sa)
+            lab = acceptance_log_prob(sa, sb.log_density, sb.log_proposal)
+            lba = acceptance_log_prob(sb, sa.log_density, sa.log_proposal)
             # balance is checked with proposal densities evaluated apart from the states' own
             lhs = lab + sa.log_density + student_log_density(b, params)
             rhs = lba + sb.log_density + student_log_density(a, params)

@@ -17,7 +17,7 @@ from jumpclust.datagen import SyntheticSpec, generate
 from jumpclust.online import lambda_at, variance_weight
 from jumpclust.posterior import TargetDensity, grid_oracle, log_target
 from jumpclust.priors import PriorSpec
-from jumpclust.proposals import StepProposals, proposal_scale, student_log_density
+from jumpclust.proposals import StepProposals, proposal_scale, student_log_density, student_sample
 from jumpclust.scoring import ScoreContext
 
 
@@ -105,19 +105,24 @@ def chain_state(c, tgt, params):
     return ChainState(c.points, log_target(c, tgt), student_log_density(c, params))
 
 
+def log_alpha(current, candidate):
+    """acceptance_log_prob of a move between two states."""
+    return acceptance_log_prob(current, candidate.log_density, candidate.log_proposal)
+
+
 class TestAcceptance:
     def test_identical_proposal_accepted_surely(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(2, tgt, props)
-        assert acceptance_log_prob(state, state) == 0.0
+        assert log_alpha(state, state) == 0.0
 
     def test_outside_support_never_accepted(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(1, tgt, props)
         bad = chain_state(Centers([[2.5]]), tgt, props.params(1))
-        assert acceptance_log_prob(state, bad) == -math.inf
+        assert log_alpha(state, bad) == -math.inf
 
     def test_current_state_must_be_in_support(self):
         tgt = toy_target()
@@ -126,7 +131,7 @@ class TestAcceptance:
         good = chain_state(Centers([[0.0]]), tgt, props.params(1))
         assert dead.log_density == -math.inf
         with pytest.raises(ValueError):
-            acceptance_log_prob(dead, good)
+            log_alpha(dead, good)
 
     def test_detailed_balance_identity(self):
         # balance of the within-model ratio: for in-support states a, b,
@@ -142,8 +147,8 @@ class TestAcceptance:
             b = Centers(rng.uniform(-2, 2, size=(k, 1)))
             sa = chain_state(a, tgt, params)
             sb = chain_state(b, tgt, params)
-            lab = acceptance_log_prob(sa, sb)
-            lba = acceptance_log_prob(sb, sa)
+            lab = log_alpha(sa, sb)
+            lba = log_alpha(sb, sa)
             lhs = lab + sa.log_density + student_log_density(b, params)
             rhs = lba + sb.log_density + student_log_density(a, params)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
@@ -157,18 +162,19 @@ class TestAcceptance:
         params = props.params(2)
         a = Centers([[-0.8], [0.9]])
         b = Centers([[-0.6], [1.0]])
-        la = acceptance_log_prob(chain_state(a, tgt, params), chain_state(b, tgt, params))
+        la = log_alpha(chain_state(a, tgt, params), chain_state(b, tgt, params))
         dens_ratio = log_target(b, tgt) - log_target(a, tgt)
         prop_ratio = student_log_density(a, params) - student_log_density(b, params)
         assert la == pytest.approx(min(0.0, dens_ratio + prop_ratio), abs=1e-12)
 
 
 def pool_candidates(supply, k, n):
-    """The first n candidates of pool k, as the chain takes them."""
+    """The first n candidates of pool k, as the chain takes them: (points,
+    log_density, log_proposal) rows."""
     while sum(len(c[0]) for c in supply.chunks[k]) < n:
         supply.refill(k)
     return [
-        ChainState(pts[r], ld.item(r), lp.item(r))
+        (pts[r], ld.item(r), lp.item(r))
         for pts, ld, lp in supply.chunks[k]
         for r in range(len(pts))
     ][:n]
@@ -190,13 +196,23 @@ class TestStepAndChain:
         state = initial_state(1, tgt, props)
         rng = seeded_rng(55, 0)
         saw_rejection = False
-        for cand in pool_candidates(CandidateSupply(tgt, props, 55), 1, 50):
-            new, (_, _, accepted) = step(state, cand, rng.random())
-            if not accepted:
+        for points, ld, lp in pool_candidates(CandidateSupply(tgt, props, 55), 1, 50):
+            u = rng.random()
+            accepted, move = step(state, 1, ld, lp, u)
+            assert move == (1, math.exp(log_alpha(state, ChainState(points, ld, lp))), accepted)
+            assert accepted == (u < move[1])
+            if accepted:
+                state = ChainState(points, ld, lp)
+            else:
                 saw_rejection = True
-                assert new is state
-            state = new
         assert saw_rejection
+        # the chain keeps the very state object's points over a rejected move
+        rng = seeded_rng(55, 1)
+        for _ in range(50):
+            new, trace = run_chain(state, 1, tgt, props, rng)
+            if not trace.accepted[0]:
+                assert new.points is state.points and new == state
+            state = new
 
     def test_non_finite_draw_rejected(self, monkeypatch):
         tgt = toy_target()
@@ -227,6 +243,20 @@ class TestStepAndChain:
         assert np.all((trace.alpha >= 0) & (trace.alpha <= 1))
         assert np.all((trace.k_current >= 1) & (trace.k_current <= 3))
         assert final.k == trace.k_current[-1]
+
+    def test_cursors_count_the_moves_to_each_k(self):
+        tgt = toy_target()
+        props = toy_proposals(tgt)
+        final, trace = run_chain(initial_state(1, tgt, props), 2000, tgt, props, seeded_rng(57, 0))
+        for k in range(len(final.cursors)):
+            assert final.cursors[k] == (trace.k_proposed == k).sum()
+        # the returned state is the pool row the last accepted move took
+        last = np.flatnonzero(trace.accepted)[-1]
+        k = trace.k_proposed[last]
+        row = (trace.k_proposed[: last + 1] == k).sum() - 1
+        points, log_density, log_proposal = pool_candidates(final.supply, k, row + 1)[row]
+        assert np.array_equal(final.points, points)
+        assert (final.log_density, final.log_proposal) == (log_density, log_proposal)
 
     def test_rejects_state_outside_dimension_range(self):
         tgt = toy_target()
@@ -332,7 +362,7 @@ def scalar_reference(state, n, tgt, props, seed, supply):
         used[k_cand] += 1
         params = props.params(k_cand)
         cand = ChainState(c.points, log_target(c, tgt), student_log_density(c, params))
-        alpha = math.exp(acceptance_log_prob(state, cand))
+        alpha = math.exp(log_alpha(state, cand))
         if u < alpha:
             state = cand
         states.append(state)
@@ -369,6 +399,44 @@ class TestPooledChainAgainstScalarReference:
             assert state == expected
         assert 0 < trace.accepted.sum() < n
         assert len(set(trace.k_current.tolist())) > 1  # the replay crosses dimensions
+
+
+class TestBatchedRefill:
+    """A refill draws each chunk by its own student_sample call and evaluates
+    the batch in one call: every stored chunk equals a chunk drawn and
+    evaluated alone from an equal-seeded generator, compared with ==."""
+
+    @pytest.mark.parametrize("case", ["toy", "sine_drift"])
+    def test_batched_chunks_equal_chunks_evaluated_alone(self, case, monkeypatch):
+        if case == "toy":
+            tgt = toy_target()
+            props = toy_proposals(tgt)
+            ks = (1, 2, 3)
+        else:
+            tgt, props = sine_drift_step(t=60)
+            ks = (1, 2, 5)
+        batch_rows = []
+        batched_log_target = chain.log_target
+
+        def spy(points, target):
+            batch_rows.append(points.shape)
+            return batched_log_target(points, target)
+
+        monkeypatch.setattr(chain, "log_target", spy)
+        supply = CandidateSupply(tgt, props, 68)
+        for k in ks:
+            for _ in range(5):  # batches of 1, 1, 2, 4 and 8 chunks, as the budget allows
+                supply.refill(k)
+            rng, params = seeded_rng(68, k), props.params(k)
+            assert len(supply.chunks[k]) >= 5
+            for points, log_density, log_proposal in supply.chunks[k]:
+                alone = student_sample(params, chain._POOL_ROWS, rng)
+                assert points.shape == alone.shape and (points == alone).all()
+                assert (log_density == log_target(alone, tgt)).all()
+                assert (log_proposal == student_log_density(alone, params)).all()
+        assert max(rows for rows, _, _ in batch_rows) >= 8 * chain._POOL_ROWS
+        d, t = tgt.prior.dim, tgt.ctx.t
+        assert all(rows * k * d * t <= chain._BATCH_ELEMENTS for rows, k, _ in batch_rows)
 
 
 class TestContinuation:

@@ -209,6 +209,16 @@ class TestRun:
             assert capsys.readouterr().err.startswith("jumpclust: ")
             assert not out.exists()
 
+    def test_nan_decay_is_reported_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 2, "max_clusters": 4, "radius": 12.0, "decay": NaN}')
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--synthetic", "sine_drift",
+                     "--horizon", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("jumpclust: ") and "decay" in err
+        assert not out.exists()
+
     def test_stray_schedule_field_is_reported(self, tmp_path, capsys):
         path = tmp_path / "stray.json"
         schedule = {"kind": "anytime", "value": 3.0, "values": [9.0]}

@@ -98,9 +98,23 @@ class TestStreamConfig:
         assert cfg.schedule.kind == "default"
         assert cfg.schedule.dim == 2
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_decay_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="decay must be >= 0 and finite"):
+            self._base(decay=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_prior_scale_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="prior_scale must be > 0 and finite"):
+            self._base(prior_scale=value)
+
     def test_kmeans_validation(self):
         with pytest.raises(ValueError):
             KMeansConfig(restarts=0)
+
+    def test_kmeans_tol_nan_refused(self):
+        with pytest.raises(ValueError, match="kmeans tol must be >= 0"):
+            KMeansConfig(tol=math.nan)
 
 
 class TestConfigFile:
@@ -171,6 +185,12 @@ class TestConfigFile:
         assert load_config({"dim": 2, "max_clusters": 3, "radius": 2, "schedule": None}) == (
             StreamConfig(dim=2, max_clusters=3, radius=2.0)
         )
+
+    def test_nan_decay_in_a_config_file_is_refused(self):
+        # JSON readers accept NaN; the config must not
+        text = '{"dim": 2, "max_clusters": 3, "radius": 1.0, "decay": NaN}'
+        with pytest.raises(ValueError, match="decay"):
+            load_config(io.StringIO(text))
 
     @pytest.mark.parametrize(
         "nested, match",

@@ -68,6 +68,16 @@ class TestTemperatureSchedule:
         with pytest.raises(ValueError):
             TemperatureSchedule.anytime(2, math.inf).resolve(2, math.inf)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_fixed_value_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="fixed schedule needs a value > 0 and finite"):
+            TemperatureSchedule.fixed(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_custom_values_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="custom schedule values must be > 0 and finite"):
+            TemperatureSchedule.custom([1.0, value])
+
     def test_missing_fields_are_named(self):
         with pytest.raises(ValueError, match="anytime schedule is unresolved"):
             lambda_at(TemperatureSchedule("anytime", dim=2), 1)

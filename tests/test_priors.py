@@ -50,6 +50,18 @@ class TestClusterCountPrior:
             assert masses[k - 1] == pytest.approx(math.exp(log_q(k, 6, 0.4)), rel=1e-12)
 
 
+class TestPriorSpecValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_decay_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="decay must be >= 0 and finite"):
+            PriorSpec(kind="uniform", dim=1, max_clusters=2, radius=1.0, decay=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_scale_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="scale must be > 0 and finite"):
+            PriorSpec(kind="student", dim=1, max_clusters=2, radius=1.0, scale=value)
+
+
 def single_block_spec(kind, dim=1, radius=1.0, **kw):
     """Prior with max_clusters=1, where log q(1) = 0 and log_prior is the block density."""
     return PriorSpec(kind=kind, dim=dim, max_clusters=1, radius=radius, **kw)
