@@ -7,7 +7,7 @@ replicate      Repeat the drifting-groups benchmark and score cluster-count
                accuracy (plus a regret summary against the anytime bound).
 trace          Export one step's sampler trace (k, acceptance ratio, ...).
 bounds         Evaluate the closed-form regret-bound remainders.
-generate       Emit a synthetic stream as CSV.
+generate       Emit the sine_drift stream as CSV.
 oracle-check   Compare the sampler's k-marginal against the grid oracle on
                a toy instance (total-variation gate at 0.05).
 
@@ -163,11 +163,8 @@ def _cmd_run(args) -> int:
     late = [t for t in args.trace_step or () if t > xs.shape[0]]
     if late:
         raise CliError(f"--trace-step {late[0]} outside the stream (length {xs.shape[0]})")
-    if args.radius_auto:
-        schedule = cfg.schedule
-        if schedule.kind in ("horizon", "anytime"):
-            # re-resolve radius-dependent schedules against the new radius
-            schedule = dataclasses.replace(schedule, radius=None)
+    if args.radius_auto:  # the schedule takes the new radius too
+        schedule = dataclasses.replace(cfg.schedule, radius=None)
         cfg = dataclasses.replace(
             cfg, radius=float(np.linalg.norm(xs, axis=1).max()), schedule=schedule
         )
@@ -330,7 +327,7 @@ def _missing(flag: str):
 # --- generate -------------------------------------------------------------------
 
 def _cmd_generate(args) -> int:
-    spec = SyntheticSpec(kind=args.model, horizon=args.horizon)
+    spec = SyntheticSpec(kind="sine_drift", horizon=args.horizon)
     stream = generate(spec, seeded_rng(args.seed, (_DATA_STREAM, 0)))
     header = ["t"] + [f"x{i+1}" for i in range(stream.dim)]
     if stream.k_true is not None:
@@ -459,8 +456,7 @@ def build_parser() -> _Parser:
     bo.add_argument("--json", action="store_true")
     bo.set_defaults(fn=_cmd_bounds)
 
-    ge = sub.add_parser("generate", help="emit a synthetic stream as CSV")
-    ge.add_argument("--model", choices=["sine_drift"], default="sine_drift")
+    ge = sub.add_parser("generate", help="emit the sine_drift stream as CSV")
     ge.add_argument("--horizon", type=_in_range(int, 1), default=200)
     ge.add_argument("--seed", type=_in_range(int, 0), default=0)
     ge.add_argument("--out", default=None, help="output CSV (default: stdout)")

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -26,6 +26,7 @@ __all__ = [
     "Centers",
     "KMeansConfig",
     "StreamConfig",
+    "check_prior_settings",
     "StepRecord",
     "RunRecord",
     "seeded_rng",
@@ -140,9 +141,30 @@ class KMeansConfig:
             raise ValueError("kmeans tol must be >= 0")
 
 
+def check_prior_settings(kind: str, dim: int, max_clusters: int, radius: float,
+                         decay: float, scale: float) -> None:
+    """Refuse prior settings that no prior can be built from: the one check
+    behind both :class:`StreamConfig` and :class:`jumpclust.priors.PriorSpec`."""
+    if kind not in ("uniform", "student"):
+        raise ValueError(f"unknown prior_kind {kind!r}")
+    if not dim >= 1:
+        raise ValueError("dim must be >= 1")
+    if not max_clusters >= 1:
+        raise ValueError("max_clusters must be >= 1")
+    if not radius > 0:
+        raise ValueError("radius must be > 0")
+    if math.isinf(radius) and kind != "student":
+        raise ValueError("radius=inf needs the student prior")
+    if not 0 <= decay < math.inf:
+        raise ValueError("decay must be >= 0 and finite")
+    if not 0 < scale < math.inf:
+        raise ValueError("prior_scale must be > 0 and finite")
+
+
 @dataclass(frozen=True)
 class StreamConfig:
-    """Full configuration of one online clustering run.
+    """Full configuration of one online clustering run.  The k-means fits
+    that place the proposals always use :class:`KMeansConfig` defaults.
 
     dim
         Dimension d of the observations.
@@ -159,7 +181,9 @@ class StreamConfig:
         "uniform" (product of uniform balls) or "student" (product of
         truncated heavy-tailed blocks with scale ``prior_scale``).
     schedule
-        Inverse-temperature schedule, see :mod:`jumpclust.online`.
+        Inverse-temperature schedule, see :mod:`jumpclust.online`.  Its
+        ``dim`` and ``radius`` are the run's: missing ones are filled in,
+        other values are refused.
     chain_length
         Number of sampler iterations N per time step.
     seed
@@ -180,32 +204,17 @@ class StreamConfig:
     schedule: Optional[TemperatureSchedule] = None  # resolved in __post_init__
     chain_length: int = 500
     seed: int = 0
-    kmeans: KMeansConfig = field(default_factory=KMeansConfig)
     label_correction: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.max_clusters < 1:
-            raise ValueError("max_clusters must be >= 1")
-        if not self.radius > 0:
-            raise ValueError("radius must be > 0")
-        if math.isinf(self.radius) and self.prior_kind != "student":
-            raise ValueError("radius=inf is only supported with the student prior")
-        if not 0 <= self.decay < math.inf:
-            raise ValueError("decay must be >= 0 and finite")
-        if self.prior_kind not in ("uniform", "student"):
-            raise ValueError(f"unknown prior_kind {self.prior_kind!r}")
-        if not 0 < self.prior_scale < math.inf:
-            raise ValueError("prior_scale must be > 0 and finite")
+        check_prior_settings(self.prior_kind, self.dim, self.max_clusters, self.radius,
+                             self.decay, self.prior_scale)
         if self.chain_length < 1:
             raise ValueError("chain_length must be >= 1")
-        if self.schedule is None:
-            from .online import TemperatureSchedule
+        from .online import TemperatureSchedule
 
-            object.__setattr__(self, "schedule", TemperatureSchedule.default(self.dim))
-        else:
-            object.__setattr__(self, "schedule", self.schedule.resolve(self.dim, self.radius))
+        schedule = TemperatureSchedule() if self.schedule is None else self.schedule
+        object.__setattr__(self, "schedule", schedule.resolve(self.dim, self.radius))
         if self.schedule.kind == "default" and math.isinf(self.radius):
             raise ValueError(
                 "the default schedule needs a finite radius (its score variance "
@@ -314,20 +323,17 @@ class RunRecord:
 
 # --- configuration files -------------------------------------------------
 
-def _config_classes() -> dict:
-    """Config dataclasses that nest inside a StreamConfig, by annotation name."""
-    from .online import TemperatureSchedule
-
-    return {c.__name__: c for c in (KMeansConfig, TemperatureSchedule)}
+_RETIRED_FIELDS = ("burn_in", "kmeans")  # accepted from older config files, then dropped
 
 
 def _field_value(path: str, annotation: str, value):
     """One JSON value checked and converted against its field's declared type
     (the annotation string, as postponed evaluation leaves it)."""
     kind = annotation.removeprefix("Optional[").removesuffix("]")
-    classes = _config_classes()
-    if kind in classes:
-        return _config_from_dict(classes[kind], value, f"{path}.")
+    if kind == "TemperatureSchedule":  # the one nested config
+        from .online import TemperatureSchedule
+
+        return _config_from_dict(TemperatureSchedule, value, f"{path}.")
     if kind == "float" and isinstance(value, str) and value.lower() in ("inf", "infinity"):
         return math.inf
     if kind in ("int", "float"):
@@ -354,8 +360,7 @@ def _config_from_dict(cls, raw, prefix: str = ""):
     if unknown:
         raise ValueError(f"unknown config fields: {unknown}")
     for name, f in fields.items():
-        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        if required and raw.get(name) is None:
+        if f.default is dataclasses.MISSING and raw.get(name) is None:
             raise ValueError(f"config is missing required field {prefix + name!r}")
     kwargs = {
         name: _field_value(prefix + name, fields[name].type, value)
@@ -373,8 +378,9 @@ def load_config(source) -> StreamConfig:
 
     Field names map 1:1 to :class:`StreamConfig`; ``schedule`` is a nested
     :class:`~jumpclust.online.TemperatureSchedule` object (no ``kind``
-    means ``default``), ``kmeans`` a nested :class:`KMeansConfig` object.
-    Unknown keys are rejected at every level; float fields accept ``"inf"``.
+    means ``default``).  Unknown keys are rejected at every level; float
+    fields accept ``"inf"``.  The retired fields ``burn_in`` and ``kmeans``
+    of older config files are ignored with a warning.
     """
     if isinstance(source, dict):
         raw = dict(source)
@@ -383,9 +389,10 @@ def load_config(source) -> StreamConfig:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    if isinstance(raw, dict) and "burn_in" in raw:  # accepted from older config files
-        del raw["burn_in"]
-        warnings.warn("config field 'burn_in' is no longer used and is ignored", stacklevel=2)
+    for name in _RETIRED_FIELDS:
+        if isinstance(raw, dict) and name in raw:
+            del raw[name]
+            warnings.warn(f"config field {name!r} is no longer used and is ignored", stacklevel=2)
     return _config_from_dict(StreamConfig, raw)
 
 

@@ -36,28 +36,21 @@ class SyntheticSpec:
     kind="sine_drift"
         Needs only ``horizon`` (number of steps); dimension is 2.
     kind="gaussian_mixture"
-        Static mixture with identity covariance: ``centers`` (m, d),
-        ``weights`` (m,) summing to 1 (default uniform), and ``horizon``.
+        Static mixture of equally weighted components with identity
+        covariance: ``centers`` (m, d) and ``horizon``.
     """
 
     kind: str
     horizon: int = 200
     centers: Optional[tuple] = None
-    weights: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.kind == "gaussian_mixture":
-            if self.centers is None:
-                raise ValueError("gaussian_mixture needs centers")
-            m = len(self.centers)
-            w = self.weights if self.weights is not None else tuple([1.0 / m] * m)
-            if len(w) != m or not math.isclose(sum(w), 1.0, rel_tol=0, abs_tol=1e-9):
-                raise ValueError("weights must match centers and sum to 1")
-            object.__setattr__(self, "weights", tuple(float(v) for v in w))
+        if self.kind == "gaussian_mixture" and self.centers is None:
+            raise ValueError("gaussian_mixture needs centers")
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,8 @@ def generate(spec: SyntheticSpec, rng) -> SyntheticStream:
     # gaussian_mixture
     centers = np.asarray(spec.centers, dtype=float)
     m, d = centers.shape
-    comps = rng.choice(m, size=spec.horizon, p=np.asarray(spec.weights))
+    # an explicit uniform p: numpy draws other components without one
+    comps = rng.choice(m, size=spec.horizon, p=np.full(m, 1.0 / m))
     return SyntheticStream(xs=centers[comps] + rng.standard_normal((spec.horizon, d)))
 
 

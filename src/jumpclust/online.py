@@ -18,6 +18,7 @@ import numpy as np
 
 from .chain import initial_state, run_chain
 from .core import (
+    KMeansConfig,
     RunRecord,
     StepRecord,
     StreamConfig,
@@ -68,7 +69,8 @@ class TemperatureSchedule:
     * ``custom``: an explicit tuple (lambda_0, lambda_1, ...).
 
     All kinds emit strictly positive values; the time-varying ones are
-    non-increasing for t >= 1.
+    non-increasing for t >= 1.  ``dim`` and ``radius`` are the run's:
+    :meth:`resolve` fills them in and refuses other values.
     """
 
     kind: str = "default"
@@ -87,8 +89,12 @@ class TemperatureSchedule:
         if self.kind == "fixed":
             if self.value is None or not 0 < self.value < math.inf:
                 raise ValueError("fixed schedule needs a value > 0 and finite")
-        if self.kind == "horizon" and self.horizon is not None and self.horizon < 1:
+        if self.horizon is not None and not self.horizon >= 1:
             raise ValueError("horizon must be >= 1")
+        if self.dim is not None and not self.dim >= 1:
+            raise ValueError(f"{self.kind} schedule needs dim >= 1")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError(f"{self.kind} schedule needs a finite radius > 0")
         if self.kind == "custom":
             if not self.values:
                 raise ValueError("custom schedule needs a non-empty values tuple")
@@ -123,16 +129,18 @@ class TemperatureSchedule:
         return cls("custom", values=tuple(values))
 
     def resolve(self, dim: int, radius: float) -> "TemperatureSchedule":
-        """Fill dimension/radius from the run configuration where missing."""
-        reads = _KIND_FIELDS[self.kind]
-        out = replace(self, dim=dim) if "dim" in reads and self.dim is None else self
-        if "radius" in reads and out.radius is None:
-            out = replace(out, radius=radius)
-        missing = [name for name in reads if getattr(out, name) is None]
+        """This schedule with the run's dimension and radius where its kind
+        reads them; a value that differs from the run's is refused."""
+        run = {name: value for name, value in (("dim", dim), ("radius", radius))
+               if name in _KIND_FIELDS[self.kind]}
+        for name, value in run.items():
+            if getattr(self, name) not in (None, value):
+                raise ValueError(f"{self.kind} schedule has {name}={getattr(self, name)!r}, "
+                                 f"the run has {name}={value!r}")
+        out = replace(self, **run)
+        missing = [name for name in _KIND_FIELDS[self.kind] if getattr(out, name) is None]
         if missing:
             raise ValueError(f"{out.kind} schedule needs {' and '.join(missing)}")
-        if "radius" in reads and math.isinf(out.radius):
-            raise ValueError(f"{out.kind} schedule needs a finite radius")
         return out
 
 
@@ -233,7 +241,7 @@ def run_stream(
             tgt.ctx.observations,
             tau=proposal_scale(cfg.max_clusters, t + 1),
             max_clusters=cfg.max_clusters,
-            kmeans_cfg=cfg.kmeans,
+            kmeans_cfg=KMeansConfig(),
             rng_for_k=lambda k, _t=t: seeded_rng(cfg.seed, (_KMEANS_STREAM, rep, _t, k)),
             jitter_scale=jitter_scale,
             earlier_fits=fits,

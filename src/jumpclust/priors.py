@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import Centers, seeded_rng
+from .core import Centers, check_prior_settings, seeded_rng
 
 __all__ = [
     "log_q",
@@ -150,18 +150,8 @@ class PriorSpec:
     trunc: Optional[TruncationEstimate] = field(init=False, default=None)  # student only
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "student"):
-            raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.dim < 1 or self.max_clusters < 1:
-            raise ValueError("dim and max_clusters must be >= 1")
-        if not self.radius > 0:
-            raise ValueError("radius must be > 0")
-        if math.isinf(self.radius) and self.kind != "student":
-            raise ValueError("only the student prior supports radius=inf")
-        if not 0 <= self.decay < math.inf:
-            raise ValueError("decay must be >= 0 and finite")
-        if not 0 < self.scale < math.inf:
-            raise ValueError("scale must be > 0 and finite")
+        check_prior_settings(self.kind, self.dim, self.max_clusters, self.radius,
+                             self.decay, self.scale)
         if self.kind == "student":
             object.__setattr__(
                 self, "trunc", estimate_truncation_prob(self.dim, self.radius, self.scale)

@@ -167,20 +167,19 @@ def kmeans_fit(
     inherit the best (k-1)-fit plus a split, which makes the fitted loss
     non-increasing in k).  A ``warm`` (k, d) starting stack replaces the
     k-means++ seedings when there are at least k points: Lloyd then runs
-    from ``warm`` and ``extra_init`` only, and ``rng`` is not read.
+    from ``warm`` and ``extra_init`` only, and ``rng`` is not read; every
+    other fit needs ``rng``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     x = np.asarray(data, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
     if x.ndim != 2:
         raise ValueError("data must be a (n, d) array")
     if not np.isfinite(x).all():
         raise ValueError("data must have finite coordinates")
     n, d = x.shape
     if rng is None and (n < k or warm is None):
-        rng = np.random.default_rng(0)
+        raise ValueError("a cold or padded k-means fit needs rng")
     if n == 0:
         fit = pad_jitter * rng.standard_normal((k, d))
     elif n < k:

@@ -333,7 +333,7 @@ def sine_drift_step(t=40, p=20):
         xs,
         tau=proposal_scale(p, t + 1),
         max_clusters=p,
-        kmeans_cfg=cfg.kmeans,
+        kmeans_cfg=KMeansConfig(),
         rng_for_k=lambda k: seeded_rng(7, (3, t, k)),
         jitter_scale=cfg.radius,
     )

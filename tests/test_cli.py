@@ -169,6 +169,14 @@ class TestRun:
         ) == 0
         assert (out / "records.jsonl").exists()
 
+    def test_radius_auto_gives_the_schedule_the_new_radius(self, tmp_path):
+        path = tmp_path / "horizon.json"
+        cfg = {"dim": 2, "max_clusters": 4, "radius": 12.0, "chain_length": 30,
+               "schedule": {"kind": "horizon", "horizon": 4, "radius": 12.0}}
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--synthetic", "sine_drift",
+                     "--horizon", "4", "--radius-auto", "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("command", ["run", "trace"])
     def test_csv_blank_lines_skipped_and_short_rows_named(
         self, command, small_config_path, tmp_path, capsys
@@ -198,8 +206,23 @@ class TestRun:
         for name in written:
             assert (skipped / name).read_bytes() == (plain / name).read_bytes()
 
+    def test_kmeans_block_is_ignored_with_a_warning(self, small_config_path, tmp_path):
+        old = tmp_path / "old.json"
+        kmeans = {"restarts": 1, "max_iter": 2, "tol": 0.5}
+        with open(small_config_path) as fh:
+            old.write_text(json.dumps({**json.load(fh), "kmeans": kmeans}))
+        outs = tmp_path / "new", tmp_path / "old"
+        assert main(["run", "--config", small_config_path, "--synthetic", "sine_drift",
+                     "--horizon", "8", "--out", str(outs[0])]) == 0
+        with pytest.warns(UserWarning, match="config field 'kmeans' is no longer used"):
+            assert main(["run", "--config", str(old), "--synthetic", "sine_drift",
+                         "--horizon", "8", "--out", str(outs[1])]) == 0
+        a, b = ((out / "records.jsonl").read_bytes() for out in outs)
+        assert a == b
+
     def test_malformed_config_is_reported(self, tmp_path, capsys):
-        bad_fields = ({"schedule": "anytime"}, {"kmeans": {"restart": 3}}, {"schedule": {"x": 1}})
+        bad_fields = ({"schedule": "anytime"}, {"schedule": {"kind": "horizon", "horizon": 2.5}},
+                      {"schedule": {"x": 1}}, {"schedule": {"kind": "anytime", "radius": -1.0}})
         for bad in bad_fields:
             path = tmp_path / "bad.json"
             path.write_text(json.dumps({"dim": 2, "max_clusters": 4, "radius": 12.0, **bad}))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,9 @@ from jumpclust.core import (
     load_config,
     seeded_rng,
 )
+from jumpclust import priors
 from jumpclust.online import TemperatureSchedule
+from jumpclust.priors import PriorSpec
 
 
 class TestSeededRng:
@@ -108,6 +111,34 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match="prior_scale must be > 0 and finite"):
             self._base(prior_scale=value)
 
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [("prior_kind", "cauchy", "unknown prior_kind 'cauchy'"),
+         ("dim", 0, "dim must be >= 1"),
+         ("max_clusters", 0, "max_clusters must be >= 1"),
+         ("radius", math.nan, "radius must be > 0"),
+         ("radius", math.inf, "radius=inf needs the student prior"),
+         ("decay", -0.1, "decay must be >= 0 and finite"),
+         ("prior_scale", 0.0, "prior_scale must be > 0 and finite")],
+    )
+    def test_prior_settings_refused_as_by_the_prior(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            self._base(**{name: value})
+        spec = dict(kind="uniform", dim=2, max_clusters=5, radius=1.0)
+        spec[{"prior_kind": "kind", "prior_scale": "scale"}.get(name, name)] = value
+        with pytest.raises(ValueError, match=match):
+            PriorSpec(**spec)
+
+    def test_student_config_starts_no_truncation_estimate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("truncation estimate started")
+
+        monkeypatch.setattr(priors, "estimate_truncation_prob", refuse)
+        cfg = self._base(prior_kind="student", radius=7.25, prior_scale=3.5)
+        assert dataclasses.replace(cfg, seed=3).seed == 3
+        with pytest.raises(AssertionError, match="truncation estimate started"):
+            PriorSpec.from_config(cfg)
+
     def test_kmeans_validation(self):
         with pytest.raises(ValueError):
             KMeansConfig(restarts=0)
@@ -133,13 +164,35 @@ class TestConfigFile:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        with pytest.warns(UserWarning, match="burn_in"):
+        with pytest.warns(UserWarning) as caught:
             cfg = load_config(path)
+        assert sorted(str(w.message) for w in caught) == [
+            f"config field {name!r} is no longer used and is ignored"
+            for name in ("burn_in", "kmeans")
+        ]
         assert cfg.max_clusters == 7
         assert cfg.schedule.kind == "anytime"
         assert cfg.schedule.radius == 4.5  # resolved from the config
-        again = load_config(dump_config(cfg))
+        dumped = dump_config(cfg)
+        assert "kmeans" not in dumped and "burn_in" not in dumped
+        again = load_config(dumped)
         assert again == cfg
+
+    @pytest.mark.parametrize(
+        "schedule, match",
+        [({"kind": "anytime", "radius": math.nan}, "anytime schedule needs a finite radius > 0"),
+         ({"kind": "horizon", "horizon": 10, "radius": -1.0},
+          "horizon schedule needs a finite radius > 0"),
+         ({"kind": "anytime", "dim": 0}, "anytime schedule needs dim >= 1"),
+         ({"kind": "default", "dim": 7}, "default schedule has dim=7, the run has dim=2"),
+         ({"kind": "anytime", "radius": 1.0},
+          "anytime schedule has radius=1.0, the run has radius=5.0")],
+        ids=["radius-nan", "radius-negative", "dim-0", "dim-not-the-runs", "radius-not-the-runs"],
+    )
+    def test_schedule_dim_and_radius_are_the_runs(self, schedule, match):
+        raw = {"dim": 2, "max_clusters": 3, "radius": 5.0, "schedule": schedule}
+        with pytest.raises(ValueError, match=match):
+            load_config(io.StringIO(json.dumps(raw)))  # NaN as JSON readers accept it
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
@@ -158,8 +211,7 @@ class TestConfigFile:
                          schedule=TemperatureSchedule.with_horizon(2, 2.0, 50)),
             StreamConfig(dim=1, max_clusters=5, radius=3.0, decay=0.4,
                          schedule=TemperatureSchedule.anytime(1, 3.0)),
-            StreamConfig(dim=3, max_clusters=4, radius=15.0, label_correction=True,
-                         kmeans=KMeansConfig(restarts=2, max_iter=7, tol=0.0)),
+            StreamConfig(dim=3, max_clusters=4, radius=15.0, label_correction=True),
             StreamConfig(dim=2, max_clusters=3, radius=2.0, seed=5,
                          schedule=TemperatureSchedule.inverse_sqrt()),
             StreamConfig(dim=2, max_clusters=3, radius=2.0, chain_length=9,
@@ -170,6 +222,7 @@ class TestConfigFile:
         ids=["fixed", "horizon", "anytime", "default", "inverse_sqrt", "custom", "student_inf"],
     )
     def test_dump_load_round_trip(self, cfg):
+        assert "kmeans" not in dump_config(cfg)
         assert load_config(dump_config(cfg)) == cfg
         text = json.dumps(dump_config(cfg))
         assert load_config(io.StringIO(text)) == cfg
@@ -177,7 +230,7 @@ class TestConfigFile:
 
     def test_defaults_nulls_and_numbers(self):
         cfg = load_config(
-            {"dim": 2, "max_clusters": 3, "radius": 15, "schedule": {}, "kmeans": None,
+            {"dim": 2, "max_clusters": 3, "radius": 15, "schedule": {}, "seed": None,
              "decay": None}
         )
         assert cfg == StreamConfig(dim=2, max_clusters=3, radius=15.0)
@@ -196,20 +249,21 @@ class TestConfigFile:
         "nested, match",
         [
             ({"schedule": {"kind": "anytime", "bogus": 1}}, "unknown config fields.*schedule.bogus"),
-            ({"kmeans": {"restart": 3}}, "unknown config fields.*kmeans.restart"),
+            ({"schedule": {"valu": 3}}, "unknown config fields.*schedule.valu"),
             ({"schedule": "anytime"}, "'schedule' must be a JSON object"),
-            ({"kmeans": [3, 100]}, "'kmeans' must be a JSON object"),
+            ({"schedule": [1.0, 0.5]}, "'schedule' must be a JSON object"),
             ({"schedule": {"kind": "custom", "values": 0.5}}, "invalid config field 'schedule'"),
             ({"schedule": {"kind": "fixed", "value": "hot"}}, "'schedule.value' must be of"),
-            ({"kmeans": {"restarts": 2.5}}, "'kmeans.restarts' must be of type int"),
+            ({"schedule": {"kind": "horizon", "horizon": 2.5}},
+             "'schedule.horizon' must be of type int"),
             ({"dim": "2"}, "'dim' must be of type int"),
             ({"label_correction": "false"}, "'label_correction' must be of type bool"),
             ({"schedule": {"kind": "anytime", "value": 3.0, "values": [9.0]}},
              "anytime schedule does not read field 'value'"),
         ],
-        ids=["schedule-unknown-key", "kmeans-unknown-key", "schedule-not-object",
-             "kmeans-not-object", "values-not-a-list", "value-not-a-number",
-             "restarts-not-an-int", "dim-a-string", "bool-a-string", "schedule-stray-field"],
+        ids=["schedule-unknown-key", "schedule-kindless-unknown-key", "schedule-not-object",
+             "schedule-a-list", "values-not-a-list", "value-not-a-number",
+             "horizon-not-an-int", "dim-a-string", "bool-a-string", "schedule-stray-field"],
     )
     def test_malformed_values_raise_value_error(self, nested, match):
         raw = {"dim": 2, "max_clusters": 3, "radius": 1.0, **nested}

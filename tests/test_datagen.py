@@ -88,22 +88,13 @@ class TestGenerate:
 
     def test_gaussian_mixture_shapes_and_means(self):
         spec = SyntheticSpec(
-            kind="gaussian_mixture",
-            horizon=20_000,
-            centers=((0.0, 0.0), (30.0, 0.0)),
-            weights=(0.25, 0.75),
+            kind="gaussian_mixture", horizon=20_000, centers=((0.0, 0.0), (30.0, 0.0))
         )
         stream = generate(spec, seeded_rng(86, 0))
         assert stream.xs.shape == (20_000, 2)
         right = stream.xs[:, 0] > 15
-        assert abs(right.mean() - 0.75) <= 0.01
+        assert abs(right.mean() - 0.5) <= 0.01  # equally weighted components
         assert abs(stream.xs[right, 0].mean() - 30.0) <= 0.05
-
-    def test_mixture_weight_validation(self):
-        with pytest.raises(ValueError, match="weights"):
-            SyntheticSpec(
-                kind="gaussian_mixture", horizon=5, centers=((0.0,), (1.0,)), weights=(0.5, 0.2)
-            )
 
     def test_csv_rows(self):
         stream = generate(SyntheticSpec(kind="sine_drift", horizon=3), seeded_rng(87, 0))

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpclust.core import StreamConfig, seeded_rng
 from jumpclust.datagen import SyntheticSpec, generate
@@ -99,6 +101,30 @@ class TestTemperatureSchedule:
     def test_fields_the_kind_never_reads_are_rejected(self, kind, fields, stray):
         with pytest.raises(ValueError, match=f"{kind} schedule does not read field '{stray}'"):
             TemperatureSchedule(kind, **fields)
+
+    def test_resolve_refuses_dim_and_radius_other_than_the_runs(self):
+        sched = TemperatureSchedule.anytime(2, 5.0)
+        assert sched.resolve(2, 5.0) == sched
+        with pytest.raises(ValueError, match="horizon schedule has radius=1.0, the run has"):
+            TemperatureSchedule.with_horizon(2, 1.0, 10).resolve(2, 5.0)
+        with pytest.raises(ValueError, match="default schedule has dim=7, the run has dim=2"):
+            TemperatureSchedule.default(7).resolve(2, 5.0)
+        assert TemperatureSchedule.inverse_sqrt().resolve(2, math.inf).kind == "inverse_sqrt"
+
+    @given(
+        kind=st.sampled_from(["horizon", "anytime", "default"]),
+        dim=st.integers(-2, 50),
+        radius=st.one_of(st.sampled_from([math.nan, math.inf, -1.0, 0.0]), st.floats(1e-50, 1e50)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lambda_is_never_nan(self, kind, dim, radius):
+        fields = {"dim": dim} if kind == "default" else {"dim": dim, "radius": radius}
+        try:
+            sched = TemperatureSchedule(kind, horizon=20 if kind == "horizon" else None, **fields)
+        except ValueError:
+            assert not (dim >= 1 and (kind == "default" or 0 < radius < math.inf))
+            return
+        assert all(lambda_at(sched, t) > 0 for t in range(21))  # NaN > 0 is false
 
     def test_variance_weights_follow_schedule_except_default(self):
         ts = range(6)

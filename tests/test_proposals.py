@@ -201,6 +201,17 @@ class TestKMeansFit:
         with pytest.raises(ValueError, match="finite"):
             kmeans_fit(x, 2, KMeansConfig(), seeded_rng(38, 1))
 
+    @pytest.mark.parametrize("n", [0, 2, 30])  # padded from nothing, padded, cold Lloyd
+    def test_cold_or_padded_fit_without_rng_is_refused(self, n):
+        x = seeded_rng(40, n).standard_normal((n, 2))
+        warm = np.zeros((3, 2)) if n < 3 else None  # padding ignores a warm start
+        with pytest.raises(ValueError, match="a cold or padded k-means fit needs rng"):
+            kmeans_fit(x, 3, KMeansConfig(), None, warm=warm)
+
+    def test_rejects_one_dimensional_data(self):
+        with pytest.raises(ValueError, match=r"\(n, d\) array"):
+            kmeans_fit(np.arange(5.0), 2, KMeansConfig(), seeded_rng(40, 0))
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_k_below_one(self, k):
         x = seeded_rng(39, 0).standard_normal((10, 2))
