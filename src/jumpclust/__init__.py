@@ -19,7 +19,7 @@ from .core import (
     load_config,
     seeded_rng,
 )
-from .scoring import ScoreAccumulator, ScoreContext, instantaneous_loss, score
+from .scoring import ScoreContext, instantaneous_loss, score
 from .priors import (
     PriorSpec,
     estimate_truncation_prob,

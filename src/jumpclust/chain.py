@@ -16,9 +16,9 @@ formula.
 
 Candidates do not depend on the chain's history, so they are drawn ahead,
 per k, into an append-only pool of i.i.d. draws evaluated in batched chunks;
-each draw is used at most once, so the chain stays exact.  The move loop
-reads each chunk's two densities once as floats and builds a state only
-when a move is accepted.
+each draw is used at most once, so the chain stays exact.  A refill stores
+each row's two densities as Python floats; the move loop indexes them by
+cursor and builds a state only when a move is accepted.
 """
 
 from __future__ import annotations
@@ -128,16 +128,18 @@ class ChainTrace:
 class CandidateSupply:
     """Pre-evaluated independence candidates of one (target, proposals) pair.
 
-    ``chunks[k]`` is the append-only list of (points, log_density,
-    log_proposal) chunks of ``_POOL_ROWS`` k-block proposal draws: a
-    read-only (rows, k, d) stack and its two (rows,) density arrays.  Pool
-    k has its own generator, seeded from (seed, k), so its rows do not
-    depend on who asks for them.
+    Pool k is a table of k-block proposal draws: ``chunks[k]`` is the
+    append-only list of read-only (``_POOL_ROWS``, k, d) point stacks, and
+    ``log_density[k]`` and ``log_proposal[k]`` are lists of Python floats
+    whose entry i belongs to pool row i.  Pool k has its own generator,
+    seeded from (seed, k), so its rows do not depend on who asks for them.
     """
 
     def __init__(self, tgt: TargetDensity, proposals: StepProposals, seed: int):
         self.tgt, self.proposals, self.seed = tgt, proposals, seed
-        self.chunks = [[] for _ in range(proposals.max_clusters + 1)]
+        pools = range(proposals.max_clusters + 1)
+        self.chunks = [[] for _ in pools]
+        self.log_density, self.log_proposal = [[] for _ in pools], [[] for _ in pools]
         self._rngs = {}
 
     def refill(self, k: int) -> None:
@@ -154,10 +156,9 @@ class CandidateSupply:
         if not np.isfinite(points).all():
             raise ValueError("candidate centers must have finite coordinates")
         points.flags.writeable = False
-        log_density, log_proposal = log_target(points, self.tgt), student_log_density(points, params)
-        for i in range(0, len(points), _POOL_ROWS):
-            rows = slice(i, i + _POOL_ROWS)
-            chunks.append((points[rows], log_density[rows], log_proposal[rows]))
+        chunks += (points[i : i + _POOL_ROWS] for i in range(0, len(points), _POOL_ROWS))
+        self.log_density[k] += log_target(points, self.tgt).tolist()
+        self.log_proposal[k] += student_log_density(points, params).tolist()
 
 
 def acceptance_log_prob(current: ChainState, log_density: float, log_proposal: float) -> float:
@@ -206,27 +207,19 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
         cursors = [0] * (p + 1)
     v = rng.integers(0, _DRAW_RANGE, size=n_steps)
     offsets, uniforms = (v % 3 - 1).tolist(), ((v // 3) * 2.0**-50).tolist()
-    pools = supply.chunks
-    # per k, the two densities of the pool rows from the chunk this run first
-    # enters on, as floats: row i is at i - firsts[k]
-    firsts = [i - i % _POOL_ROWS for i in cursors]
-    lds, lps = [[] for _ in pools], [[] for _ in pools]
+    lds, lps = supply.log_density, supply.log_proposal
     state, k, rows = init, init.k, []
     for offset, u in zip(offsets, uniforms):
         kp = k + offset if 1 <= k + offset <= p else k
         i = cursors[kp]
         cursors[kp] = i + 1
-        ld, lp, j = lds[kp], lps[kp], i - firsts[kp]
-        if j >= len(ld):
-            c = i // _POOL_ROWS
-            if c == len(pools[kp]):
-                supply.refill(kp)
-            ld += pools[kp][c][1].tolist()
-            lp += pools[kp][c][2].tolist()
-        accepted, move = step(state, kp, ld[j], lp[j], u)
+        if i == len(lds[kp]):
+            supply.refill(kp)
+        ld, lp = lds[kp][i], lps[kp][i]
+        accepted, move = step(state, kp, ld, lp, u)
         if accepted:
             c, r = divmod(i, _POOL_ROWS)
-            state, k = ChainState(pools[kp][c][0][r], ld[j], lp[j]), kp
+            state, k = ChainState(supply.chunks[kp][c][r], ld, lp), kp
         rows.append((*move, k))
     trace = ChainTrace(*map(np.array, zip(*rows)))  # rows are (k', alpha, accepted, k)
     return replace(state, supply=supply, cursors=tuple(cursors)), trace
@@ -237,7 +230,8 @@ def initial_state(k0: int, tgt: TargetDensity, proposals: StepProposals) -> Chai
     support ball of radius 2R."""
     params = proposals.params(k0)
     c = Centers(clip_to_ball(params.locations, 2.0 * tgt.prior.radius * (1 - 1e-9)))
-    state = ChainState(c.points, log_target(c, tgt), student_log_density(c, params))
+    log_proposal = float(student_log_density(c.points[None], params)[0])
+    state = ChainState(c.points, log_target(c, tgt), log_proposal)
     if not math.isfinite(state.log_density):
         raise ValueError("warm-start state has zero target density")
     return state

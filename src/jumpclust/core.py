@@ -141,6 +141,18 @@ class KMeansConfig:
             raise ValueError("kmeans tol must be >= 0")
 
 
+def check_radius(radius: float, owner: str, power: int = 2) -> None:
+    """Refuse a radius R unless R > 0 and R**power (2 or 4) is a positive
+    finite float: the one check behind every formula that divides by or
+    multiplies a power of R.  The power is formed as R * R (squared again
+    for 4), so an overflow reads inf instead of raising."""
+    square = radius * radius
+    if not (radius > 0 and 0 < (square if power == 2 else square * square) < math.inf):
+        name = "square" if power == 2 else "fourth power"
+        raise ValueError(f"{owner} needs a finite radius > 0 whose {name} is positive "
+                         f"and finite, got {radius!r}")
+
+
 def check_prior_settings(kind: str, dim: int, max_clusters: int, radius: float,
                          decay: float, scale: float) -> None:
     """Refuse prior settings that no prior can be built from: the one check
@@ -215,11 +227,8 @@ class StreamConfig:
 
         schedule = TemperatureSchedule() if self.schedule is None else self.schedule
         object.__setattr__(self, "schedule", schedule.resolve(self.dim, self.radius))
-        if self.schedule.kind == "default" and math.isinf(self.radius):
-            raise ValueError(
-                "the default schedule needs a finite radius (its score variance "
-                "weights are radius-aware); choose another schedule for radius=inf"
-            )
+        if self.schedule.kind == "default":  # its score variance weights read R
+            check_radius(self.radius, "the default schedule")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import KMeansConfig, RunRecord, clip_to_ball, seeded_rng
+from .core import KMeansConfig, RunRecord, check_radius, clip_to_ball, seeded_rng
 from .proposals import kmeans_fit, within_cluster_loss
 
 __all__ = [
@@ -45,21 +45,17 @@ _OCL_STREAM = 7
 _OCL_MAX_ITER = 200
 
 
-def ocl(xs: np.ndarray, k_star: int, radius: float, restarts: int = 50, rng=None) -> float:
-    """Upper approximation of the oracle cumulative loss.
+def ocl(xs: np.ndarray, k_star: int, radius: float, rng, restarts: int = 50) -> float:
+    """Upper approximation of the oracle cumulative loss of a (t, d) sequence.
 
     Best-of-``restarts`` k-means fit of k_star centers on the whole
-    sequence, centers then clipped to the radius-R ball.  The true OCL is
-    an infimum over that ball, so the returned value can only overestimate
-    it.
+    sequence, seeded from ``rng``, centers then clipped to the radius-R
+    ball.  The true OCL is an infimum over that ball, so the returned value
+    can only overestimate it.
     """
     if k_star < 1:
         raise ValueError("k_star must be >= 1")
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
-    if rng is None:
-        rng = seeded_rng(0, (_OCL_STREAM, xs.shape[0], k_star))
     fit = kmeans_fit(xs, k_star, KMeansConfig(restarts=restarts, max_iter=_OCL_MAX_ITER), rng)
     return within_cluster_loss(clip_to_ball(fit, radius), xs)
 
@@ -200,7 +196,7 @@ def regret_bound_student(
         (3 + dim) * k * rt * math.log(log_arg)
         + k * dim / 4.0 * rt * math.log(horizon)
         + (math.sqrt(3.0 * k**2 * dim + 12.0 * prior_scale**2 / cd**2) + eta * k) * rt
-        + (math.log(max_clusters) + (1.0 if adaptive else 0.5) * c1**2) * rt
+        + (math.log(max_clusters) + (1.0 if adaptive else 0.5) * (c1 * c1)) * rt
     )
 
 
@@ -257,8 +253,7 @@ def _check_common(k, horizon, dim, radius, eta, max_clusters):
         raise ValueError("horizon must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError("radius must be positive and finite")
+    check_radius(radius, "the regret bound", power=4)
     if eta < 0:
         raise ValueError("eta must be >= 0")
     if max_clusters < 1:

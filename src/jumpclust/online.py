@@ -22,6 +22,7 @@ from .core import (
     RunRecord,
     StepRecord,
     StreamConfig,
+    check_radius,
     seeded_rng,
     validate_observation,
 )
@@ -93,8 +94,8 @@ class TemperatureSchedule:
             raise ValueError("horizon must be >= 1")
         if self.dim is not None and not self.dim >= 1:
             raise ValueError(f"{self.kind} schedule needs dim >= 1")
-        if self.radius is not None and not 0 < self.radius < math.inf:
-            raise ValueError(f"{self.kind} schedule needs a finite radius > 0")
+        if self.radius is not None:
+            check_radius(self.radius, f"{self.kind} schedule")
         if self.kind == "custom":
             if not self.values:
                 raise ValueError("custom schedule needs a non-empty values tuple")

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import Centers, KMeansConfig
+from .core import KMeansConfig
 from .priors import sample_student_blocks, student_block_log_norm, student_log_shape
 from .scoring import nearest_sq_dist, sq_dists
 
@@ -58,23 +58,21 @@ class ProposalParams:
         return self.locations.shape[1]
 
 
-def student_log_density(c, params: ProposalParams):
-    """Exact log-density of the k-block proposal.
+def student_log_density(points: np.ndarray, params: ProposalParams) -> np.ndarray:
+    """Exact log-density of the k-block proposal at each row of a (n, k, d)
+    stack: an (n,) array whose entry i equals row i evaluated alone.
 
     Each block is a d-variate Student distribution with 3 degrees of
     freedom, location params.locations[j] and scale matrix 2*tau^2*I,
-    including its closed-form normalizing constant.  ``c`` is one :class:`Centers`
-    (a float) or a (n, k, d) stack (an (n,) array; row i equals row i alone).
+    including its closed-form normalizing constant.
     """
-    one = isinstance(c, Centers)
-    pts = c.points[None] if one else np.asarray(c, dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 3 or pts.shape[1:] != params.locations.shape:
         raise ValueError(f"center shape {pts.shape[1:]} != proposal shape {params.locations.shape}")
     diff = pts - params.locations
     sq_dist = np.einsum("nkd,nkd->nk", diff, diff)
     log_norm = params.k * student_block_log_norm(params.dim, params.tau)
-    out = log_norm + student_log_shape(sq_dist, params.dim, params.tau)
-    return float(out[0]) if one else out
+    return log_norm + student_log_shape(sq_dist, params.dim, params.tau)
 
 
 def student_sample(params: ProposalParams, n: int, rng) -> np.ndarray:

@@ -32,7 +32,6 @@ __all__ = [
     "instantaneous_loss",
     "ScoreContext",
     "score",
-    "ScoreAccumulator",
     "score_batch",
 ]
 
@@ -116,38 +115,6 @@ def score(c: Centers, ctx: ScoreContext) -> float:
             f"context dimension {ctx.observations.shape[1]} != center dimension {c.dim}"
         )
     return float(score_batch(c.points[None], ctx)[0])
-
-
-class ScoreAccumulator:
-    """Streaming evaluation of S_t at a fixed center vector.
-
-    Built once from a context prefix, then extended one observation at a
-    time; ``value`` always equals the batch score over the same history
-    (up to float round-off, tested at 1e-10 relative).
-    """
-
-    def __init__(self, c: Centers, ctx: ScoreContext | None = None):
-        self.c = c
-        self._total = 0.0
-        self._t = 0
-        if ctx is not None and ctx.t > 0:
-            self._total = score(c, ctx)
-            self._t = ctx.t
-
-    @property
-    def t(self) -> int:
-        return self._t
-
-    @property
-    def value(self) -> float:
-        return self._total
-
-    def update(self, x, ref_loss: float, lam_prev: float) -> float:
-        """Append one step: returns S_{t+1}(c) after observing x."""
-        loss = instantaneous_loss(self.c, x)
-        self._total += loss + 0.5 * lam_prev * (loss - ref_loss) ** 2
-        self._t += 1
-        return self._total
 
 
 def score_batch(points: np.ndarray, ctx: ScoreContext) -> np.ndarray:

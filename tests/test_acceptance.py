@@ -29,7 +29,7 @@ from jumpclust.proposals import (
     proposal_scale,
     student_log_density,
 )
-from jumpclust.scoring import ScoreAccumulator, ScoreContext, score
+from jumpclust.scoring import ScoreContext, instantaneous_loss, score
 
 BENCH_REPS = 20
 BENCH_HORIZON = 200
@@ -190,13 +190,14 @@ class TestCriterion4DetailedBalance:
             params = props.params(k)
             a = Centers(rng.uniform(-2, 2, size=(k, 1)))
             b = Centers(rng.uniform(-2, 2, size=(k, 1)))
-            sa = ChainState(a.points, log_target(a, tgt), student_log_density(a, params))
-            sb = ChainState(b.points, log_target(b, tgt), student_log_density(b, params))
+            qa, qb = student_log_density(np.stack([a.points, b.points]), params).tolist()
+            sa = ChainState(a.points, log_target(a, tgt), qa)
+            sb = ChainState(b.points, log_target(b, tgt), qb)
             lab = acceptance_log_prob(sa, sb.log_density, sb.log_proposal)
             lba = acceptance_log_prob(sb, sa.log_density, sa.log_proposal)
             # balance is checked with proposal densities evaluated apart from the states' own
-            lhs = lab + sa.log_density + student_log_density(b, params)
-            rhs = lba + sb.log_density + student_log_density(a, params)
+            lhs = lab + sa.log_density + student_log_density(b.points[None], params)[0]
+            rhs = lba + sb.log_density + student_log_density(a.points[None], params)[0]
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
         ok = worst <= 1e-9
         report("4 detailed-balance", ok, f"worst relative defect={worst:.2e}")
@@ -207,7 +208,7 @@ class TestCriterion5Normalizations:
     def test_proposal_density_d1_quadrature(self):
         params = ProposalParams(np.array([[0.2]]), tau=0.4)
         val, _ = integrate.quad(
-            lambda x: math.exp(student_log_density(Centers([[x]]), params)), -np.inf, np.inf,
+            lambda x: math.exp(student_log_density(np.array([[[x]]]), params)[0]), -np.inf, np.inf,
             limit=400,
         )
         ok = abs(val - 1.0) <= 1e-4
@@ -220,10 +221,7 @@ class TestCriterion5Normalizations:
         params = ProposalParams(loc, tau=tau)
         ref = stats.multivariate_t(loc=loc[0], shape=2 * tau**2 * np.eye(2), df=3)
         draws = ref.rvs(size=20_000, random_state=np.random.default_rng(9))
-        ratios = np.exp(
-            np.array([student_log_density(Centers([d]), params) for d in draws])
-            - ref.logpdf(draws)
-        )
+        ratios = np.exp(student_log_density(draws[:, None, :], params) - ref.logpdf(draws))
         est = float(ratios.mean())
         ok = abs(est - 1.0) <= 1e-2
         report("5b proposal-mc", ok, f"importance estimate={est:.5f} (1 +/- 1e-2)")
@@ -311,14 +309,15 @@ class TestCriterion7ScoreRecursion:
             rng = seeded_rng(9000 + trial, 0)
             dim = 1 + trial % 3
             c = Centers(rng.standard_normal((1 + trial % 4, dim)))
-            acc = ScoreAccumulator(c)
+            streaming = 0.0  # S_t = S_{t-1} + loss + (lam/2) (loss - ref)^2, one step at a time
             obs, refs, lams = [], [], []
             for _ in range(20):
                 x = rng.standard_normal(dim)
                 obs.append(x)
                 refs.append(rng.random() * 4.0)
                 lams.append(rng.random() * 2.0)
-                streaming = acc.update(x, refs[-1], lams[-1])
+                loss = instantaneous_loss(c, x)
+                streaming += loss + 0.5 * lams[-1] * (loss - refs[-1]) ** 2
             batch = score(c, ScoreContext(np.array(obs), np.array(refs), np.array(lams)))
             worst = max(worst, abs(streaming - batch) / max(abs(batch), 1e-300))
         ok = worst <= 1e-10

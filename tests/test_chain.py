@@ -101,8 +101,13 @@ class TestProposeDimension:
             assert abs(accepted[sel].mean() - alpha[sel].mean()) <= 0.02
 
 
+def proposal_density(c, params):
+    """student_log_density of one center vector, as a one-row stack."""
+    return float(student_log_density(c.points[None], params)[0])
+
+
 def chain_state(c, tgt, params):
-    return ChainState(c.points, log_target(c, tgt), student_log_density(c, params))
+    return ChainState(c.points, log_target(c, tgt), proposal_density(c, params))
 
 
 def log_alpha(current, candidate):
@@ -149,8 +154,8 @@ class TestAcceptance:
             sb = chain_state(b, tgt, params)
             lab = log_alpha(sa, sb)
             lba = log_alpha(sb, sa)
-            lhs = lab + sa.log_density + student_log_density(b, params)
-            rhs = lba + sb.log_density + student_log_density(a, params)
+            lhs = lab + sa.log_density + proposal_density(b, params)
+            rhs = lba + sb.log_density + proposal_density(a, params)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
         assert worst <= 1e-9
 
@@ -164,20 +169,17 @@ class TestAcceptance:
         b = Centers([[-0.6], [1.0]])
         la = log_alpha(chain_state(a, tgt, params), chain_state(b, tgt, params))
         dens_ratio = log_target(b, tgt) - log_target(a, tgt)
-        prop_ratio = student_log_density(a, params) - student_log_density(b, params)
+        prop_ratio = proposal_density(a, params) - proposal_density(b, params)
         assert la == pytest.approx(min(0.0, dens_ratio + prop_ratio), abs=1e-12)
 
 
 def pool_candidates(supply, k, n):
     """The first n candidates of pool k, as the chain takes them: (points,
     log_density, log_proposal) rows."""
-    while sum(len(c[0]) for c in supply.chunks[k]) < n:
+    while len(supply.log_density[k]) < n:
         supply.refill(k)
-    return [
-        (pts[r], ld.item(r), lp.item(r))
-        for pts, ld, lp in supply.chunks[k]
-        for r in range(len(pts))
-    ][:n]
+    points = np.concatenate(supply.chunks[k])
+    return list(zip(points, supply.log_density[k], supply.log_proposal[k]))[:n]
 
 
 def run_in_blocks(state, block, n, tgt, props, rng):
@@ -350,8 +352,7 @@ def scalar_reference(state, n, tgt, props, seed, supply):
     v = rng.integers(0, 3 << 50, size=n)
     offsets, uniforms = v % 3, (v // 3) * 2.0**-50
     p = props.max_clusters
-    rows = {k: np.concatenate([pts for pts, _, _ in chunks])
-            for k, chunks in enumerate(supply.chunks) if chunks}
+    rows = {k: np.concatenate(chunks) for k, chunks in enumerate(supply.chunks) if chunks}
     used = dict.fromkeys(rows, 0)
     states, k_proposed, alphas = [], [], []
     for offset, u in zip(offsets, uniforms):
@@ -361,7 +362,7 @@ def scalar_reference(state, n, tgt, props, seed, supply):
         c = Centers(rows[k_cand][used[k_cand]])
         used[k_cand] += 1
         params = props.params(k_cand)
-        cand = ChainState(c.points, log_target(c, tgt), student_log_density(c, params))
+        cand = chain_state(c, tgt, params)
         alpha = math.exp(log_alpha(state, cand))
         if u < alpha:
             state = cand
@@ -403,8 +404,9 @@ class TestPooledChainAgainstScalarReference:
 
 class TestBatchedRefill:
     """A refill draws each chunk by its own student_sample call and evaluates
-    the batch in one call: every stored chunk equals a chunk drawn and
-    evaluated alone from an equal-seeded generator, compared with ==."""
+    the batch in one call: every stored chunk, and its rows of the pool's
+    two density lists, equal a chunk drawn and evaluated alone from an
+    equal-seeded generator, compared with ==."""
 
     @pytest.mark.parametrize("case", ["toy", "sine_drift"])
     def test_batched_chunks_equal_chunks_evaluated_alone(self, case, monkeypatch):
@@ -424,16 +426,22 @@ class TestBatchedRefill:
 
         monkeypatch.setattr(chain, "log_target", spy)
         supply = CandidateSupply(tgt, props, 68)
+        size = chain._POOL_ROWS
         for k in ks:
+            rng, params = seeded_rng(68, k), props.params(k)
+            log_density, log_proposal = [], []  # the one-chunk evaluations so far
             for _ in range(5):  # batches of 1, 1, 2, 4 and 8 chunks, as the budget allows
                 supply.refill(k)
-            rng, params = seeded_rng(68, k), props.params(k)
+                for points in supply.chunks[k][len(log_density) // size :]:
+                    alone = student_sample(params, size, rng)
+                    assert points.shape == alone.shape and (points == alone).all()
+                    log_density += log_target(alone, tgt).tolist()
+                    log_proposal += student_log_density(alone, params).tolist()
+                n = size * len(supply.chunks[k])
+                assert len(supply.log_density[k]) == len(supply.log_proposal[k]) == n
+                assert supply.log_density[k] == log_density
+                assert supply.log_proposal[k] == log_proposal
             assert len(supply.chunks[k]) >= 5
-            for points, log_density, log_proposal in supply.chunks[k]:
-                alone = student_sample(params, chain._POOL_ROWS, rng)
-                assert points.shape == alone.shape and (points == alone).all()
-                assert (log_density == log_target(alone, tgt)).all()
-                assert (log_proposal == student_log_density(alone, params)).all()
         assert max(rows for rows, _, _ in batch_rows) >= 8 * chain._POOL_ROWS
         d, t = tgt.prior.dim, tgt.ctx.t
         assert all(rows * k * d * t <= chain._BATCH_ELEMENTS for rows, k, _ in batch_rows)

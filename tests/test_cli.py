@@ -222,7 +222,9 @@ class TestRun:
 
     def test_malformed_config_is_reported(self, tmp_path, capsys):
         bad_fields = ({"schedule": "anytime"}, {"schedule": {"kind": "horizon", "horizon": 2.5}},
-                      {"schedule": {"x": 1}}, {"schedule": {"kind": "anytime", "radius": -1.0}})
+                      {"schedule": {"x": 1}}, {"schedule": {"kind": "anytime", "radius": -1.0}},
+                      {"radius": 1e-200}, {"radius": 1e200},
+                      {"radius": 1e-200, "schedule": {"kind": "anytime"}})
         for bad in bad_fields:
             path = tmp_path / "bad.json"
             path.write_text(json.dumps({"dim": 2, "max_clusters": 4, "radius": 12.0, **bad}))
@@ -329,6 +331,13 @@ class TestBounds:
         out = json.loads(capsys.readouterr().out)
         assert "error" in out["fixed"]
         assert "value" in out["anytime"] and "value" in out["student"]
+
+    def test_radius_whose_fourth_power_underflows_is_an_error_for_each_bound(self, capsys):
+        args = self.ARGS[:]
+        args[args.index("--radius") + 1] = "1e-200"
+        assert main(args + ["--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert all("fourth power is positive and finite" in res["error"] for res in out.values())
 
     USAGE_CASES = {
         "k-0": (["--k", "0"], "--k: must be >= 1"),

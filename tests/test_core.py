@@ -186,8 +186,13 @@ class TestConfigFile:
          ({"kind": "anytime", "dim": 0}, "anytime schedule needs dim >= 1"),
          ({"kind": "default", "dim": 7}, "default schedule has dim=7, the run has dim=2"),
          ({"kind": "anytime", "radius": 1.0},
-          "anytime schedule has radius=1.0, the run has radius=5.0")],
-        ids=["radius-nan", "radius-negative", "dim-0", "dim-not-the-runs", "radius-not-the-runs"],
+          "anytime schedule has radius=1.0, the run has radius=5.0"),
+         ({"kind": "anytime", "radius": 1e-200},
+          "anytime schedule needs a finite radius > 0 whose square is positive"),
+         ({"kind": "horizon", "horizon": 10, "radius": 1e200},
+          "horizon schedule needs a finite radius > 0 whose square is positive")],
+        ids=["radius-nan", "radius-negative", "dim-0", "dim-not-the-runs", "radius-not-the-runs",
+             "radius-square-underflows", "radius-square-overflows"],
     )
     def test_schedule_dim_and_radius_are_the_runs(self, schedule, match):
         raw = {"dim": 2, "max_clusters": 3, "radius": 5.0, "schedule": schedule}
@@ -260,10 +265,15 @@ class TestConfigFile:
             ({"label_correction": "false"}, "'label_correction' must be of type bool"),
             ({"schedule": {"kind": "anytime", "value": 3.0, "values": [9.0]}},
              "anytime schedule does not read field 'value'"),
+            ({"radius": 1e-200}, "the default schedule needs a finite radius > 0 whose square"),
+            ({"radius": 1e200}, "the default schedule needs a finite radius > 0 whose square"),
+            ({"radius": 1e-200, "schedule": {"kind": "anytime"}},
+             "anytime schedule needs a finite radius > 0 whose square"),
         ],
         ids=["schedule-unknown-key", "schedule-kindless-unknown-key", "schedule-not-object",
              "schedule-a-list", "values-not-a-list", "value-not-a-number",
-             "horizon-not-an-int", "dim-a-string", "bool-a-string", "schedule-stray-field"],
+             "horizon-not-an-int", "dim-a-string", "bool-a-string", "schedule-stray-field",
+             "radius-square-underflows", "radius-square-overflows", "anytime-radius-underflows"],
     )
     def test_malformed_values_raise_value_error(self, nested, match):
         raw = {"dim": 2, "max_clusters": 3, "radius": 1.0, **nested}

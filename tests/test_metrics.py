@@ -33,12 +33,12 @@ class TestOcl:
     def test_perfect_fit_is_zero(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
         xs = np.repeat(pts, 6, axis=0)
-        assert ocl(xs, 3, radius=10.0) == pytest.approx(0.0, abs=1e-18)
+        assert ocl(xs, 3, radius=10.0, rng=seeded_rng(70, 0)) == pytest.approx(0.0, abs=1e-18)
 
     def test_single_center_closed_form(self):
         # alternating -1/+1 in d=1: best single center is 0, each loss is 1
         xs = np.array([[-1.0], [1.0]] * 25)
-        assert ocl(xs, 1, radius=5.0) == pytest.approx(50.0, rel=1e-12)
+        assert ocl(xs, 1, radius=5.0, rng=seeded_rng(70, 0)) == pytest.approx(50.0, rel=1e-12)
 
     def test_monotone_in_k(self):
         rng = seeded_rng(70, 0)
@@ -49,7 +49,11 @@ class TestOcl:
     def test_clipping_respects_radius(self):
         xs = np.array([[10.0, 0.0]] * 5)
         # radius 1 forces the center onto the unit circle: loss 5 * 9^2
-        assert ocl(xs, 1, radius=1.0) == pytest.approx(5 * 81.0, rel=1e-12)
+        assert ocl(xs, 1, radius=1.0, rng=seeded_rng(70, 0)) == pytest.approx(5 * 81.0, rel=1e-12)
+
+    def test_rng_is_required(self):
+        with pytest.raises(TypeError, match="rng"):
+            ocl(np.zeros((4, 2)), 1, radius=1.0)
 
 
 class TestCounting:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from jumpclust.core import Centers, seeded_rng
 from jumpclust.scoring import (
-    ScoreAccumulator,
     ScoreContext,
     instantaneous_loss,
     nearest_sq_dist,
@@ -153,54 +152,3 @@ class TestScore:
         batch = score_batch(stack, ctx)
         for i in range(40):
             assert batch[i] == score(Centers(stack[i]), ctx)
-
-
-class TestScoreAccumulator:
-    def test_streaming_equals_batch_on_random_histories(self):
-        # 100 random 20-step histories, relative agreement at 1e-10
-        for trial in range(100):
-            rng = seeded_rng(1000 + trial, 0)
-            dim = 1 + trial % 3
-            c = Centers(rng.standard_normal((1 + trial % 4, dim)))
-            acc = ScoreAccumulator(c)
-            obs, refs, lams = [], [], []
-            for _ in range(20):
-                x = rng.standard_normal(dim)
-                ref = rng.random() * 4.0
-                lam = rng.random() * 2.0
-                obs.append(x)
-                refs.append(ref)
-                lams.append(lam)
-                streaming = acc.update(x, ref, lam)
-            batch = score(c, ScoreContext(np.array(obs), np.array(refs), np.array(lams)))
-            assert streaming == pytest.approx(batch, rel=1e-10)
-
-    def test_base_case_single_step(self):
-        c = Centers([[0.0]])
-        acc = ScoreAccumulator(c)
-        got = acc.update(np.array([1.0]), 0.0, 1.0)
-        assert got == pytest.approx(1.5)
-
-    def test_zero_weight_adds_plain_loss(self):
-        rng = seeded_rng(5, 0)
-        c = Centers(rng.standard_normal((2, 2)))
-        ctx = random_context(rng, 5, 2)
-        acc = ScoreAccumulator(c, ctx)
-        before = acc.value
-        x = rng.standard_normal(2)
-        after = acc.update(x, 123.0, 0.0)
-        assert after - before == pytest.approx(instantaneous_loss(c, x), rel=1e-12)
-
-    def test_prefix_cache_continuation(self):
-        rng = seeded_rng(6, 0)
-        c = Centers(rng.standard_normal((3, 2)))
-        ctx = random_context(rng, 7, 2)
-        acc = ScoreAccumulator(c, ctx)
-        x, ref, lam = rng.standard_normal(2), 0.7, 0.3
-        streaming = acc.update(x, ref, lam)
-        full = ScoreContext(
-            np.vstack([ctx.observations, x[None, :]]),
-            np.append(ctx.ref_losses, ref),
-            np.append(ctx.lam_prev, lam),
-        )
-        assert streaming == pytest.approx(score(c, full), rel=1e-10)
