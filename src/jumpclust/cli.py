@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import KMeansConfig, StreamConfig, load_config, seeded_rng
+from .core import KMeansConfig, StreamConfig, check_radius, load_config, seeded_rng
 from .datagen import SyntheticSpec, generate, stream_csv_rows
 from .metrics import (
     correct_k_count,
@@ -89,6 +89,16 @@ def _in_range(kind, lo, hi=math.inf, lo_open=False):
         return value
 
     return parse
+
+
+def _radius(text: str) -> float:
+    """argparse ``type=`` for a radius > 0 whose square is a positive finite float."""
+    value = _in_range(float, 0, lo_open=True)(text)
+    try:
+        check_radius(value, "oracle-check")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return value
 
 
 def _norm_list(text: str) -> list:
@@ -466,7 +476,7 @@ def build_parser() -> _Parser:
     oc = sub.add_parser("oracle-check", help="sampler vs grid oracle on a toy instance")
     oc.add_argument("--dim", type=int, choices=[1, 2], default=1)
     oc.add_argument("--max-clusters", type=int, choices=[1, 2, 3], default=3)
-    oc.add_argument("--radius", type=_in_range(float, 0, lo_open=True), default=1.0)
+    oc.add_argument("--radius", type=_radius, default=1.0)
     oc.add_argument("--eta", type=_in_range(float, 0), default=0.3)
     oc.add_argument("--lam", type=_in_range(float, 0), default=None,
                     help="target temperature (default: anytime value at t=3)")

@@ -167,6 +167,8 @@ def check_prior_settings(kind: str, dim: int, max_clusters: int, radius: float,
         raise ValueError("radius must be > 0")
     if math.isinf(radius) and kind != "student":
         raise ValueError("radius=inf needs the student prior")
+    if math.isfinite(radius):  # radius=inf (student prior) has no square to check
+        check_radius(radius, "the prior")
     if not 0 <= decay < math.inf:
         raise ValueError("decay must be >= 0 and finite")
     if not 0 < scale < math.inf:

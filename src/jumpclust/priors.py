@@ -6,10 +6,10 @@ R^d.  Two block families are provided:
 
 * ``uniform``: uniform on the ball of radius 2R (closed-form constant);
 * ``student``: heavy-tailed block with 3 degrees of freedom and scale
-  ``tau0``, truncated to the same ball.  The truncation probability has no
-  closed form and is estimated once by Monte Carlo, cached per
-  (dim, radius, scale) together with its standard error so tests can
-  budget it.
+  ``tau0``, truncated to the same ball.  Its truncation mass, the F(d, 3)
+  CDF at (2R)^2 / (2 d tau0^2), is estimated once by seeded Monte Carlo
+  (cached per (dim, radius, scale), with its standard error) because the
+  benchmark traces that estimate; ROADMAP item 2 puts the closed form in.
 
 All densities are exact (normalizing constants included) because ratios
 across different k enter the transdimensional acceptance probability.
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Centers, check_prior_settings, seeded_rng
 
@@ -46,9 +45,13 @@ _TRUNC_SEED = 20_170_301
 
 @functools.lru_cache(maxsize=None)
 def _log_q_table(p: int, eta: float) -> np.ndarray:
-    """Read-only log-masses of q(1..p), memoised per (p, eta)."""
-    ks = np.arange(1, p + 1, dtype=float)
-    logs = -eta * ks - logsumexp(-eta * ks)
+    """Read-only log-masses of q(1..p), memoised per (p, eta).  The log-sum-exp
+    keeps scipy.special.logsumexp's float order: the m maximal entries sum apart."""
+    a = -eta * np.arange(1, p + 1, dtype=float)
+    a_max, top = a.max(), a == a.max()
+    m = float(np.count_nonzero(top))
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+    logs = a - (np.log1p(s / m) + np.log(m) + a_max)
     logs.flags.writeable = False
     return logs
 
@@ -95,7 +98,7 @@ def student_log_shape(sq_dist: np.ndarray, dim: int, tau: float) -> np.ndarray:
 
 def _outside_support(sq_norms: np.ndarray, radius: float) -> np.ndarray:
     """Which squared norms fall outside the ball of radius 2R (none when R is inf)."""
-    return sq_norms > (2.0 * radius) ** 2
+    return sq_norms > (2.0 * radius) * (2.0 * radius)
 
 
 def sample_student_blocks(shape: tuple, dim: int, tau: float, loc, rng) -> np.ndarray:

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jumpclust
 from jumpclust import cli
 from jumpclust.cli import build_parser, main
 from jumpclust.core import RunRecord
@@ -40,6 +45,24 @@ def exit_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def test_runs_leave_scipy_unloaded():
+    script = (
+        "import sys\n"
+        "import jumpclust.cli\n"
+        "from jumpclust.core import StreamConfig\n"
+        "from jumpclust.online import TemperatureSchedule, run_stream\n"
+        "xs = [[0.5, -1.0], [2.0, 0.25], [-1.5, 1.0]]\n"
+        "for prior in ('uniform', 'student'):\n"
+        "    cfg = StreamConfig(dim=2, max_clusters=3, radius=5.0, prior_kind=prior,\n"
+        "                       schedule=TemperatureSchedule.inverse_sqrt(), chain_length=20)\n"
+        "    assert len(run_stream(xs, cfg).steps) == 3\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(jumpclust.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestRun:
@@ -224,7 +247,9 @@ class TestRun:
         bad_fields = ({"schedule": "anytime"}, {"schedule": {"kind": "horizon", "horizon": 2.5}},
                       {"schedule": {"x": 1}}, {"schedule": {"kind": "anytime", "radius": -1.0}},
                       {"radius": 1e-200}, {"radius": 1e200},
-                      {"radius": 1e-200, "schedule": {"kind": "anytime"}})
+                      {"radius": 1e-200, "schedule": {"kind": "anytime"}},
+                      {"radius": 1e200, "schedule": {"kind": "fixed", "value": 1.0}},
+                      {"radius": 1e-200, "schedule": {"kind": "inverse_sqrt"}})
         for bad in bad_fields:
             path = tmp_path / "bad.json"
             path.write_text(json.dumps({"dim": 2, "max_clusters": 4, "radius": 12.0, **bad}))
@@ -476,6 +501,10 @@ class TestRangesAtParseTime:
         "oracle-radius-negative": (["--radius", "-1"], "--radius: must be > 0 and finite"),
         "oracle-radius-nan": (["--radius", "nan"], "--radius: must be > 0 and finite"),
         "oracle-radius-inf": (["--radius", "inf"], "--radius: must be > 0 and finite"),
+        "oracle-radius-square-underflows": (
+            ["--radius", "1e-200"], "--radius: oracle-check needs a finite radius > 0 whose square"),
+        "oracle-radius-square-overflows": (
+            ["--radius", "1e200"], "--radius: oracle-check needs a finite radius > 0 whose square"),
         "oracle-eta-negative": (["--eta", "-0.1"], "--eta: must be >= 0 and finite"),
         "oracle-eta-nan": (["--eta", "nan"], "--eta: must be >= 0 and finite"),
         "oracle-lam-negative": (["--lam", "-2"], "--lam: must be >= 0 and finite"),

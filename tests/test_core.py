@@ -118,6 +118,7 @@ class TestStreamConfig:
          ("max_clusters", 0, "max_clusters must be >= 1"),
          ("radius", math.nan, "radius must be > 0"),
          ("radius", math.inf, "radius=inf needs the student prior"),
+         ("radius", 1e200, "the prior needs a finite radius > 0 whose square is positive"),
          ("decay", -0.1, "decay must be >= 0 and finite"),
          ("prior_scale", 0.0, "prior_scale must be > 0 and finite")],
     )
@@ -265,15 +266,20 @@ class TestConfigFile:
             ({"label_correction": "false"}, "'label_correction' must be of type bool"),
             ({"schedule": {"kind": "anytime", "value": 3.0, "values": [9.0]}},
              "anytime schedule does not read field 'value'"),
-            ({"radius": 1e-200}, "the default schedule needs a finite radius > 0 whose square"),
-            ({"radius": 1e200}, "the default schedule needs a finite radius > 0 whose square"),
+            ({"radius": 1e-200}, "the prior needs a finite radius > 0 whose square"),
+            ({"radius": 1e200}, "the prior needs a finite radius > 0 whose square"),
             ({"radius": 1e-200, "schedule": {"kind": "anytime"}},
-             "anytime schedule needs a finite radius > 0 whose square"),
+             "the prior needs a finite radius > 0 whose square"),
+            ({"radius": 1e200, "schedule": {"kind": "fixed", "value": 1.0}},
+             "the prior needs a finite radius > 0 whose square"),
+            ({"radius": 1e-200, "schedule": {"kind": "inverse_sqrt"}},
+             "the prior needs a finite radius > 0 whose square"),
         ],
         ids=["schedule-unknown-key", "schedule-kindless-unknown-key", "schedule-not-object",
              "schedule-a-list", "values-not-a-list", "value-not-a-number",
              "horizon-not-an-int", "dim-a-string", "bool-a-string", "schedule-stray-field",
-             "radius-square-underflows", "radius-square-overflows", "anytime-radius-underflows"],
+             "radius-square-underflows", "radius-square-overflows", "anytime-radius-underflows",
+             "fixed-radius-square-overflows", "inverse-sqrt-radius-square-underflows"],
     )
     def test_malformed_values_raise_value_error(self, nested, match):
         raw = {"dim": 2, "max_clusters": 3, "radius": 1.0, **nested}

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import logsumexp
 
 from jumpclust.core import Centers, seeded_rng
 from jumpclust.priors import (
     PriorSpec,
+    _log_q_table,
     estimate_truncation_prob,
     log_prior,
     log_prior_batch,
@@ -37,6 +39,15 @@ class TestClusterCountPrior:
         for k in range(1, p):
             ratio = math.exp(log_q(k + 1, p, eta) - log_q(k, p, eta))
             assert ratio == pytest.approx(math.exp(-eta), rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.3, 1.0, 30.0, 800.0])
+    def test_table_equals_scipy_logsumexp_bit_for_bit(self, eta):
+        # at eta = 800 every term but the largest underflows, so the shifted sum is 0
+        for p in range(1, 41):
+            ks = np.arange(1, p + 1, dtype=float)
+            expected = -eta * ks - logsumexp(-eta * ks)
+            got = _log_q_table.__wrapped__(p, eta)  # the cache keys 0 and 0.0 alike
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
