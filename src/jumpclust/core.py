@@ -173,6 +173,13 @@ def check_prior_settings(kind: str, dim: int, max_clusters: int, radius: float,
         raise ValueError("decay must be >= 0 and finite")
     if not 0 < scale < math.inf:
         raise ValueError("prior_scale must be > 0 and finite")
+    if kind == "student":  # sample_prior takes about 1/mass draws per block
+        from .priors import estimate_truncation_prob
+
+        mass = estimate_truncation_prob(dim, radius, scale)
+        if not mass >= 1e-4:
+            raise ValueError(f"the student prior keeps mass {mass:.3g} inside the ball of "
+                             "radius 2R, below 1e-4: raise radius or lower prior_scale")
 
 
 @dataclass(frozen=True)
@@ -193,7 +200,8 @@ class StreamConfig:
         clusters; 0 gives a uniform prior on {1..p}.
     prior_kind
         "uniform" (product of uniform balls) or "student" (product of
-        truncated heavy-tailed blocks with scale ``prior_scale``).
+        truncated heavy-tailed blocks with scale ``prior_scale``, whose mass
+        inside the ball of radius 2R must be at least 1e-4).
     schedule
         Inverse-temperature schedule, see :mod:`jumpclust.online`.  Its
         ``dim`` and ``radius`` are the run's: missing ones are filled in,

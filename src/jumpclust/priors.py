@@ -6,10 +6,9 @@ R^d.  Two block families are provided:
 
 * ``uniform``: uniform on the ball of radius 2R (closed-form constant);
 * ``student``: heavy-tailed block with 3 degrees of freedom and scale
-  ``tau0``, truncated to the same ball.  Its truncation mass, the F(d, 3)
-  CDF at (2R)^2 / (2 d tau0^2), is estimated once by seeded Monte Carlo
-  (cached per (dim, radius, scale), with its standard error) because the
-  benchmark traces that estimate; ROADMAP item 2 puts the closed form in.
+  ``tau0``, truncated to the same ball.  Its truncation mass is the F(d, 3)
+  CDF at (2R)^2 / (2 d tau0^2), computed exactly as a regularised
+  incomplete beta function.
 
 All densities are exact (normalizing constants included) because ratios
 across different k enter the transdimensional acceptance probability.
@@ -18,18 +17,18 @@ across different k enter the transdimensional acceptance probability.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .core import Centers, check_prior_settings, seeded_rng
+from .core import Centers, check_prior_settings
+from .core import seeded_rng  # noqa: F401  bench/tracing.py wraps it here until ROADMAP item 1
 
 __all__ = [
     "log_q",
     "q_masses",
-    "TruncationEstimate",
     "estimate_truncation_prob",
     "PriorSpec",
     "log_prior",
@@ -38,10 +37,6 @@ __all__ = [
     "student_block_log_norm",
     "student_log_shape",
 ]
-
-_TRUNC_SAMPLES = 1_000_000
-_TRUNC_SEED = 20_170_301
-
 
 @functools.lru_cache(maxsize=None)
 def _log_q_table(p: int, eta: float) -> np.ndarray:
@@ -109,35 +104,36 @@ def sample_student_blocks(shape: tuple, dim: int, tau: float, loc, rng) -> np.nd
     return np.asarray(loc, dtype=float) + math.sqrt(2.0) * tau * g / np.sqrt(w / 3.0)
 
 
-@dataclass(frozen=True)
-class TruncationEstimate:
-    """Monte-Carlo estimate of a block's mass inside the ball of radius 2R."""
+def estimate_truncation_prob(dim: int, radius: float, scale: float) -> float:
+    """P(|X|_2 <= 2*radius) for one untruncated block, exactly.
 
-    prob: float
-    stderr: float
-
-
-@functools.lru_cache(maxsize=None)
-def estimate_truncation_prob(dim: int, radius: float, scale: float) -> TruncationEstimate:
-    """P(|X|_2 <= 2*radius) for one untruncated block, by seeded Monte Carlo
-    over ``_TRUNC_SAMPLES`` draws.
-
-    Estimates are memoised per argument tuple; the recorded standard error
-    lets callers budget the residual bias when checking normalizations.
+    |X|^2 / (2 d scale^2) follows an F(d, 3) law, so the mass is the F(d, 3)
+    CDF at x = (2R)^2 / (2 d scale^2): the regularised incomplete beta
+    function I_z(a, b) with a = d/2, b = 3/2 and z = d x / (d x + 3).  It is
+    summed as the series of positive terms
+    z^a (1-z)^b / (a B(a, b)) * sum_n (a+b)_n / (a+1)_n z^n, or, above
+    z = (a + 1) / (a + b + 2), as 1 - I_{1-z}(b, a) by the same series.
+    Returns 1.0 for radius=inf (and when d x overflows).
     """
-    if math.isinf(radius):
-        return TruncationEstimate(1.0, 0.0)
-    rng = seeded_rng(_TRUNC_SEED, (dim, _TRUNC_SAMPLES))
-    inside = 0
-    chunk = 200_000
-    for done in range(0, _TRUNC_SAMPLES, chunk):
-        m = min(chunk, _TRUNC_SAMPLES - done)
-        draws = sample_student_blocks((m,), dim, scale, 0.0, rng)
-        outside = _outside_support(np.einsum("ij,ij->i", draws, draws), radius)
-        inside += m - int(np.count_nonzero(outside))
-    prob = inside / _TRUNC_SAMPLES
-    stderr = math.sqrt(max(prob * (1.0 - prob), 1e-300) / _TRUNC_SAMPLES)
-    return TruncationEstimate(prob, stderr)
+    spread = radius / scale
+    dx = 2.0 * spread * spread  # d * x, formed without raising on overflow
+    if dx == math.inf:
+        return 1.0
+    a, b, z, z_c = dim / 2, 1.5, dx / (dx + 3.0), 3.0 / (dx + 3.0)
+    upper = z >= (a + 1) / (a + b + 2)
+    if upper:
+        a, b, z, z_c = b, a, z_c, z
+    total = term = 1.0
+    for n in itertools.count():
+        ratio = z * (a + b + n) / (a + 1 + n)
+        term *= ratio
+        total += term
+        r = max(ratio, z)  # bounds every later ratio, so the tail is at most term * r / (1 - r)
+        if r < 1.0 and term * r <= 1e-17 * total * (1.0 - r):
+            break
+    mass = (z**a * z_c**b * math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+            / a * total)
+    return 1.0 - mass if upper else mass
 
 
 @dataclass(frozen=True)
@@ -150,15 +146,19 @@ class PriorSpec:
     radius: float
     decay: float = 0.0
     scale: float = 1.0  # student only
-    trunc: Optional[TruncationEstimate] = field(init=False, default=None)  # student only
+    # log-density constant shared by every in-support block, set from the fields above
+    block_log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prior_settings(self.kind, self.dim, self.max_clusters, self.radius,
                              self.decay, self.scale)
-        if self.kind == "student":
-            object.__setattr__(
-                self, "trunc", estimate_truncation_prob(self.dim, self.radius, self.scale)
-            )
+        if self.kind == "uniform":
+            log_norm = (math.lgamma(self.dim / 2 + 1) - (self.dim / 2) * math.log(math.pi)
+                        - self.dim * math.log(2 * self.radius))
+        else:
+            mass = estimate_truncation_prob(self.dim, self.radius, self.scale)
+            log_norm = student_block_log_norm(self.dim, self.scale) - math.log(mass)
+        object.__setattr__(self, "block_log_norm", log_norm)
 
     @classmethod
     def from_config(cls, cfg) -> "PriorSpec":
@@ -170,16 +170,6 @@ class PriorSpec:
             decay=cfg.decay,
             scale=cfg.prior_scale,
         )
-
-    def block_log_norm(self) -> float:
-        """Log-density constant shared by every in-support block."""
-        if self.kind == "uniform":
-            return (
-                math.lgamma(self.dim / 2 + 1)
-                - (self.dim / 2) * math.log(math.pi)
-                - self.dim * math.log(2 * self.radius)
-            )
-        return student_block_log_norm(self.dim, self.scale) - math.log(self.trunc.prob)
 
 
 def log_prior(c: Centers, spec: PriorSpec) -> float:
@@ -199,7 +189,7 @@ def log_prior_batch(points: np.ndarray, spec: PriorSpec) -> np.ndarray:
     n, k, _ = points.shape
     if not 1 <= k <= spec.max_clusters:
         raise ValueError(f"k={k} outside {{1..{spec.max_clusters}}}")
-    lq, k_block = log_q(k, spec.max_clusters, spec.decay), k * spec.block_log_norm()
+    lq, k_block = log_q(k, spec.max_clusters, spec.decay), k * spec.block_log_norm
     norms2 = np.einsum("nkd,nkd->nk", points, points)
     if spec.kind == "student":
         # in place, in the float order log q + (k * constant + shape) the sampler has always used

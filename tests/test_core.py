@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -120,25 +119,33 @@ class TestStreamConfig:
          ("radius", math.inf, "radius=inf needs the student prior"),
          ("radius", 1e200, "the prior needs a finite radius > 0 whose square is positive"),
          ("decay", -0.1, "decay must be >= 0 and finite"),
-         ("prior_scale", 0.0, "prior_scale must be > 0 and finite")],
+         ("prior_scale", 0.0, "prior_scale must be > 0 and finite"),
+         # student blocks whose mass inside the ball of radius 2R is too small to sample
+         pytest.param(("prior_kind", "dim", "radius", "prior_scale"), ("student", 10, 0.1, 5.0),
+                      "keeps mass 3.65e-18 inside", id="student-mass-3.6e-18"),
+         pytest.param(("prior_kind", "dim", "radius", "prior_scale"), ("student", 2, 0.001, 50.0),
+                      "keeps mass 4e-10 inside", id="student-mass-4.0e-10")],
     )
     def test_prior_settings_refused_as_by_the_prior(self, name, value, match):
+        settings = dict(zip(name, value)) if isinstance(name, tuple) else {name: value}
         with pytest.raises(ValueError, match=match):
-            self._base(**{name: value})
+            self._base(**settings)
         spec = dict(kind="uniform", dim=2, max_clusters=5, radius=1.0)
-        spec[{"prior_kind": "kind", "prior_scale": "scale"}.get(name, name)] = value
+        for key, val in settings.items():
+            spec[{"prior_kind": "kind", "prior_scale": "scale"}.get(key, key)] = val
         with pytest.raises(ValueError, match=match):
             PriorSpec(**spec)
 
-    def test_student_config_starts_no_truncation_estimate(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("truncation estimate started")
+    def test_student_prior_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random generator built")
 
-        monkeypatch.setattr(priors, "estimate_truncation_prob", refuse)
+        for name in ("default_rng", "Generator", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, refuse)
         cfg = self._base(prior_kind="student", radius=7.25, prior_scale=3.5)
-        assert dataclasses.replace(cfg, seed=3).seed == 3
-        with pytest.raises(AssertionError, match="truncation estimate started"):
-            PriorSpec.from_config(cfg)
+        spec = PriorSpec.from_config(cfg)
+        mass = priors.estimate_truncation_prob(2, 7.25, 3.5)
+        assert spec.block_log_norm == priors.student_block_log_norm(2, 3.5) - math.log(mass)
 
     def test_kmeans_validation(self):
         with pytest.raises(ValueError):

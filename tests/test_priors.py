@@ -127,16 +127,28 @@ class TestStudentPrior:
             return math.exp(log_prior(Centers([[x]]), spec))
 
         val, err = integrate.quad(dens, -2 * radius, 2 * radius, limit=200)
-        # budget: quadrature error plus 3x the recorded truncation MC error
-        budget = max(1e-3, 3 * spec.trunc.stderr / spec.trunc.prob + 10 * err)
-        assert abs(val - 1.0) <= budget
+        assert abs(val - 1.0) <= err + 1e-10
+
+    def test_d2_radial_normalization_by_quadrature(self):
+        # the d=2 block density depends on |x| only: integrate 2 pi r p(r) over [0, 2R]
+        radius, scale = 1.5, 0.7
+        spec = single_block_spec("student", dim=2, radius=radius, scale=scale)
+
+        def ring(r):
+            return 2 * math.pi * r * math.exp(log_prior(Centers([[r, 0.0]]), spec))
+
+        val, err = integrate.quad(ring, 0.0, 2 * radius, limit=200)
+        assert abs(val - 1.0) <= err + 1e-10
 
     def test_truncation_prob_matches_radial_cdf(self):
         # |X|^2 / (d * 2 tau^2) follows an F(d, 3) law for these blocks
-        for dim, radius, scale in [(1, 1.0, 1.0), (2, 1.5, 0.7)]:
-            est = estimate_truncation_prob(dim, radius, scale)
-            exact = stats.f.cdf((2 * radius) ** 2 / (dim * 2 * scale**2), dim, 3)
-            assert abs(est.prob - exact) <= 4 * est.stderr
+        for dim in range(1, 31):
+            for x in np.logspace(-6, 8, 57):
+                radius, scale = math.sqrt(2 * dim * x) / 2, 1.0  # (2R)^2 / (2 d) = x
+                exact = stats.f.cdf(x, dim, 3)
+                got = estimate_truncation_prob(dim, radius, scale)
+                assert abs(got - exact) <= 1e-12 * exact, (dim, x)
+        assert estimate_truncation_prob(3, math.inf, 0.5) == 1.0
 
     def test_block_norm_constant_matches_scipy(self):
         for dim, tau in [(1, 1.0), (2, 0.3), (3, 2.2)]:
@@ -187,7 +199,8 @@ class TestMixturePrior:
                         loc=np.zeros(dim), shape=2 * scale**2 * np.eye(dim), df=3
                     )
                     rows = block.logpdf(stack.reshape(-1, dim)).reshape(64, k)
-                    blocks = rows - math.log(spec.trunc.prob)
+                    mass = stats.f.cdf((2 * radius) ** 2 / (2 * dim * scale**2), dim, 3)
+                    blocks = rows - math.log(mass)
                 else:
                     ball_volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * (2 * radius) ** dim
                     blocks = np.full((64, k), -math.log(ball_volume))
