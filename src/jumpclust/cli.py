@@ -91,13 +91,29 @@ def _in_range(kind, lo, hi=math.inf, lo_open=False):
     return parse
 
 
+# The toy instance in units of the radius: its observations for each --dim,
+# and the realized loss of each step's prediction (in units of R^2).
+_TOY_POINTS = {1: ((-0.3,), (0.05,), (0.4,)), 2: ((-0.3, 0.1), (0.05, -0.15), (0.4, 0.2))}
+_TOY_REF_LOSS = 0.1
+
+
 def _radius(text: str) -> float:
-    """argparse ``type=`` for a radius > 0 whose square is a positive finite float."""
+    """argparse ``type=`` for a radius > 0 whose square is a positive finite
+    float and at which the toy target's score is finite for either --dim:
+    its largest variance term, ((2R + max|x|)^2 - ref)^2 * lambda_0 for a
+    center on the 2R support sphere, must be a finite float."""
     value = _in_range(float, 0, lo_open=True)(text)
     try:
         check_radius(value, "oracle-check")
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+    far = max(math.hypot(*x) for points in _TOY_POINTS.values() for x in points)
+    reach = (2.0 + far) * value
+    dev = reach * reach - _TOY_REF_LOSS * value * value
+    if not dev * dev * lambda_at(TemperatureSchedule.anytime(1, value), 0) < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"the toy score overflows at radius {text}: its largest variance term "
+            "((2R + max|x|)^2 - ref)^2 * lambda_0 is not a finite float")
     return value
 
 
@@ -369,13 +385,9 @@ def _toy_target(args) -> TargetDensity:
     if args.prior_only:
         return TargetDensity.prior_only(prior)
     sched = TemperatureSchedule.anytime(args.dim, args.radius)
-    if args.dim == 1:
-        xs = np.array([[-0.3], [0.05], [0.4]]) * args.radius
-    else:
-        xs = np.array([[-0.3, 0.1], [0.05, -0.15], [0.4, 0.2]]) * args.radius
     ctx = ScoreContext(
-        observations=xs,
-        ref_losses=np.array([0.1, 0.1, 0.1]) * args.radius**2,
+        observations=np.array(_TOY_POINTS[args.dim]) * args.radius,
+        ref_losses=np.full(3, _TOY_REF_LOSS) * args.radius**2,
         lam_prev=np.array([lambda_at(sched, 0), lambda_at(sched, 1), lambda_at(sched, 2)]),
     )
     lam = args.lam if args.lam is not None else lambda_at(sched, 3)

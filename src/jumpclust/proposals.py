@@ -119,30 +119,47 @@ def _lloyd(
     x: np.ndarray, xt: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations on a (restarts, k, d) stack; empty clusters are
-    reseeded to each restart's farthest point.  Returns (centers, losses)."""
+    reseeded to each restart's farthest point.  Returns (centers, losses).
+
+    A restart is done, and keeps the centers a pass scored, when that
+    pass's loss is not below (1 - tol) times the previous pass's, or when
+    the pass finds it settled: labels equal to the previous pass's and no
+    empty cluster.  A settled restart's centers are the means of those same
+    labels, so its new means are bit for bit its centers and later passes
+    would only repeat this one; counting it done changes no bit.  Once
+    every restart is done, the losses that pass computed are returned;
+    only the ``max_iter`` exit scores the centers again.
+    """
     restarts, k, _ = centers.shape
     prev = np.full(restarts, np.inf)
-    eye = np.eye(k, dtype=bool)
+    prev_labels = None
+    eye = np.eye(k)
     for _ in range(max_iter):
         d2 = sq_dists(centers, xt)  # (r, k, n)
         labels = d2.argmin(axis=1)
         point_loss = d2.min(axis=1)
         loss = point_loss.sum(axis=1)
         onehot = eye[labels]  # (r, n, k)
-        counts = onehot.sum(axis=1)  # (r, k)
-        sums = np.einsum("rnk,nd->rkd", onehot.astype(float), x)
-        new_centers = np.where(
-            counts[:, :, None] > 0, sums / np.maximum(counts, 1)[:, :, None], centers
-        )
-        for r in np.nonzero((counts == 0).any(axis=1))[0]:
-            empty = np.nonzero(counts[r] == 0)[0]
-            farthest = np.argsort(point_loss[r])[::-1][: empty.size]
-            new_centers[r, empty] = x[farthest]
+        counts = onehot.sum(axis=1)  # (r, k), whole numbers
+        sums = np.einsum("rnk,nd->rkd", onehot, x)
+        full = counts.all(axis=1)
+        if full.all():
+            new_centers = sums / counts[:, :, None]
+        else:
+            new_centers = np.where(
+                counts[:, :, None] > 0, sums / np.maximum(counts, 1)[:, :, None], centers
+            )
+            for r in np.nonzero(~full)[0]:
+                empty = np.nonzero(counts[r] == 0)[0]
+                farthest = np.argsort(point_loss[r])[::-1][: empty.size]
+                new_centers[r, empty] = x[farthest]
         done = loss >= prev * (1.0 - tol)
-        centers = np.where(done[:, None, None], centers, new_centers)
+        if prev_labels is not None:
+            done |= full & (labels == prev_labels).all(axis=1)
         if done.all():
-            break
-        prev = loss
+            return centers, loss
+        centers = np.where(done[:, None, None], centers, new_centers)
+        prev, prev_labels = loss, labels
     return centers, nearest_sq_dist(centers, xt).sum(axis=1)
 
 

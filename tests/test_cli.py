@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -533,3 +535,46 @@ class TestRangesAtParseTime:
             self.ORACLE + ["--radius", "1e-3", "--eta", "0", "--lam", "0", "--tv-limit", "1"]
         )
         assert (args.radius, args.eta, args.lam, args.tv_limit) == (1e-3, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("radius", ["1e77", "1e150"])
+    def test_radius_whose_toy_score_overflows_is_a_usage_error(self, radius, capsys):
+        assert exit_code(self.ORACLE + ["--radius", radius, "--resolution", "5"]) == 1
+        captured = capsys.readouterr()
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            "jumpclust oracle-check: error: argument --radius: the toy score overflows at "
+            f"radius {radius}: its largest variance term "
+            "((2R + max|x|)^2 - ref)^2 * lambda_0 is not a finite float"
+        ]
+        assert "Traceback" not in captured.err
+        assert "total variation" not in captured.out
+
+    @staticmethod
+    def largest_accepted_radius():
+        """The largest float ``--radius`` parses to, by bisection on the bit
+        patterns of positive floats (ordered as the floats are)."""
+        def as_float(bits):
+            return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+        def accepted(bits):
+            try:
+                cli._radius(repr(as_float(bits)))
+            except argparse.ArgumentTypeError:
+                return False
+            return True
+
+        lo, hi = (struct.unpack("<q", struct.pack("<d", r))[0] for r in (1.0, 1e150))
+        assert accepted(lo) and not accepted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        return as_float(lo)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim_args", [["--dim", "1"], ["--dim", "2", "--max-clusters", "2"]])
+    def test_largest_accepted_radius_runs_without_overflow(self, dim_args, capsys):
+        radius = self.largest_accepted_radius()
+        assert 1e76 < radius < 1e77
+        argv = ["oracle-check", "--radius", repr(radius), "--iters", "100", "--burn-in", "0",
+                "--resolution", "5"] + dim_args
+        assert exit_code(argv) in (0, 2)  # a verdict either way: 100 moves decide nothing
+        assert "total variation" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from jumpclust import proposals
 from jumpclust.core import KMeansConfig, seeded_rng
 from jumpclust.proposals import (
     ProposalParams,
@@ -15,6 +17,7 @@ from jumpclust.proposals import (
     student_sample,
     within_cluster_loss,
 )
+from jumpclust.scoring import nearest_sq_dist, sq_dists
 
 
 class TestStudentDensity:
@@ -380,3 +383,105 @@ class TestKMeansGolden:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_fits_unchanged(self, dim):
         assert kmeans_digests(dim) == KMEANS_GOLDEN[dim]
+
+
+def reference_lloyd(x, xt, centers, max_iter, tol):
+    """``proposals._lloyd`` before it stopped restarts at stable labels: the
+    reference its stop rule is checked against."""
+    restarts, k, _ = centers.shape
+    prev = np.full(restarts, np.inf)
+    eye = np.eye(k, dtype=bool)
+    for _ in range(max_iter):
+        d2 = sq_dists(centers, xt)  # (r, k, n)
+        labels = d2.argmin(axis=1)
+        point_loss = d2.min(axis=1)
+        loss = point_loss.sum(axis=1)
+        onehot = eye[labels]  # (r, n, k)
+        counts = onehot.sum(axis=1)  # (r, k)
+        sums = np.einsum("rnk,nd->rkd", onehot.astype(float), x)
+        new_centers = np.where(
+            counts[:, :, None] > 0, sums / np.maximum(counts, 1)[:, :, None], centers
+        )
+        for r in np.nonzero((counts == 0).any(axis=1))[0]:
+            empty = np.nonzero(counts[r] == 0)[0]
+            farthest = np.argsort(point_loss[r])[::-1][: empty.size]
+            new_centers[r, empty] = x[farthest]
+        done = loss >= prev * (1.0 - tol)
+        centers = np.where(done[:, None, None], centers, new_centers)
+        if done.all():
+            break
+        prev = loss
+    return centers, nearest_sq_dist(centers, xt).sum(axis=1)
+
+
+def lloyd_case(i):
+    """Case i of a seeded batch of Lloyd problems: (x, xt, centers, max_iter,
+    tol) with d = 1..5, n >= k, 1-4 restarts, tied points, far centers."""
+    rng = seeded_rng(90, i)
+    d, r = 1 + i % 5, 1 + (i // 5) % 4
+    k = int(rng.integers(1, 7))
+    n = int(rng.integers(k, 45))
+    groups = rng.uniform(-6, 6, size=(3, d))
+    x = groups[rng.integers(0, 3, size=n)] + rng.standard_normal((n, d))
+    if i % 3 == 1:  # rounded and duplicated points: tied distances
+        x = np.round(x)
+        x[n // 2 :] = x[: n - n // 2]
+    centers = x[rng.integers(0, n, size=(r, k))] + (i % 2) * rng.standard_normal((r, k, d))
+    if i % 4 == 0:  # a center nothing is nearest to: its cluster goes empty
+        centers[:, -1] = 1e3
+    tol = (0.0, 1e-8, 1e-3, 0.5)[(i // 7) % 4]
+    max_iter = (1, 2, 3, 100)[(i // 11) % 4]
+    return x, np.ascontiguousarray(x.T), centers, max_iter, tol
+
+
+class TestLloydStopRule:
+    """``_lloyd`` stops a restart once its labels settle; the fits and
+    losses are bit for bit those of the loop that ran on to the tol test."""
+
+    def test_same_bits_as_the_reference_loop(self):
+        for i in range(600):
+            x, xt, centers, max_iter, tol = lloyd_case(i)
+            got = proposals._lloyd(x, xt, centers, max_iter, tol)
+            ref = reference_lloyd(x, xt, centers, max_iter, tol)
+            assert got[0].tobytes() == ref[0].tobytes(), i
+            assert got[1].tobytes() == ref[1].tobytes(), i
+
+    @staticmethod
+    def count_passes(monkeypatch, module, run):
+        """Distance passes (``sq_dists``) and final rescorings
+        (``nearest_sq_dist``) that ``run()`` makes through ``module``."""
+        calls = {"sq_dists": 0, "nearest_sq_dist": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        run()
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("shift, reference_passes", [(0.0, 2), (0.01, 3)])
+    def test_a_start_at_its_fixed_point_labels_takes_two_passes(
+        self, shift, reference_passes, monkeypatch
+    ):
+        # shift 0: the fit's own converged result; 0.01: the same labels but
+        # centers off their means, so the loss test stops the reference loop
+        # one pass after the labels settle
+        rng = seeded_rng(91, 0)
+        x = rng.uniform(-8, 8, size=(4, 2))[rng.integers(0, 4, size=80)]
+        x += 0.3 * rng.standard_normal(x.shape)
+        xt = np.ascontiguousarray(x.T)
+        fit, _ = proposals._lloyd(x, xt, x[None, :4].copy(), 100, 1e-8)
+        start = fit + shift
+        new = self.count_passes(monkeypatch, proposals,
+                                lambda: proposals._lloyd(x, xt, start, 100, 1e-8))
+        old = self.count_passes(monkeypatch, sys.modules[__name__],
+                                lambda: reference_lloyd(x, xt, start, 100, 1e-8))
+        assert new == {"sq_dists": 2, "nearest_sq_dist": 0}
+        assert old == {"sq_dists": reference_passes, "nearest_sq_dist": 1}
+
+    def test_only_running_out_of_passes_rescores(self, monkeypatch):
+        x, xt, centers, _, _ = lloyd_case(5)
+        calls = self.count_passes(monkeypatch, proposals,
+                                  lambda: proposals._lloyd(x, xt, centers, 1, 0.0))
+        assert calls == {"sq_dists": 1, "nearest_sq_dist": 1}

@@ -67,6 +67,27 @@ class TestSqDists:
                 else:
                     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
+    @staticmethod
+    def broadcast_reference(points, xs_t):
+        """The kernel before it summed one coordinate at a time: a
+        (..., k, d, t) difference summed over d."""
+        diff = points[..., :, :, None] - xs_t
+        diff *= diff
+        return diff.sum(axis=-2)
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_same_bytes_as_the_broadcast_sum(self, dim):
+        # d >= 8 at t = 1 is where numpy's reduction turns pairwise
+        rng = seeded_rng(18, dim)
+        for t in (1, 3, 120):
+            xs_t = np.ascontiguousarray(rng.uniform(-15, 15, size=(t, dim)).T)
+            for shape in ((4, dim), (6, 4, dim), (1, dim), (3, 1, dim)):
+                points = rng.uniform(-30, 30, size=shape)
+                got = sq_dists(points, xs_t)
+                ref = self.broadcast_reference(points, xs_t)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (t, shape)
+
 
 class TestInstantaneousLoss:
     def test_single_center(self):
