@@ -261,16 +261,7 @@ def _cmd_replicate(args) -> int:
         fh.write("\n")
 
     steps = sorted(set(range(args.regret_every, args.horizon + 1, args.regret_every)) | {args.horizon})
-    report = regret_report(
-        results,
-        radius=cfg.radius,
-        eta=cfg.decay,
-        max_clusters=cfg.max_clusters,
-        dim=cfg.dim,
-        ocl_restarts=args.ocl_restarts,
-        steps=steps,
-        seed=cfg.seed,
-    )
+    report = regret_report(results, cfg, ocl_restarts=args.ocl_restarts, steps=steps)
     _write_csv(regret_path, report.CSV_HEADER, report.csv_rows())
 
     print(_OCL_CAVEAT)

@@ -11,6 +11,7 @@ the dimension are derived from the stored predictions and losses.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -21,12 +22,12 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .online import TemperatureSchedule
+    from .priors import PriorSpec
 
 __all__ = [
     "Centers",
     "KMeansConfig",
     "StreamConfig",
-    "check_prior_settings",
     "StepRecord",
     "RunRecord",
     "seeded_rng",
@@ -126,19 +127,14 @@ def validate_observation(x, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    """Lloyd/k-means++ settings for proposal-location fits (``restarts`` applies to cold fits)."""
+    """Restarts of cold k-means proposal fits; Lloyd's stop rules are
+    constants of :mod:`jumpclust.proposals`."""
 
     restarts: int = 10
-    max_iter: int = 100
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("kmeans restarts must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("kmeans max_iter must be >= 1")
-        if not self.tol >= 0:
-            raise ValueError("kmeans tol must be >= 0")
 
 
 def check_radius(radius: float, owner: str, power: int = 2) -> None:
@@ -153,39 +149,11 @@ def check_radius(radius: float, owner: str, power: int = 2) -> None:
                          f"and finite, got {radius!r}")
 
 
-def check_prior_settings(kind: str, dim: int, max_clusters: int, radius: float,
-                         decay: float, scale: float) -> None:
-    """Refuse prior settings that no prior can be built from: the one check
-    behind both :class:`StreamConfig` and :class:`jumpclust.priors.PriorSpec`."""
-    if kind not in ("uniform", "student"):
-        raise ValueError(f"unknown prior_kind {kind!r}")
-    if not dim >= 1:
-        raise ValueError("dim must be >= 1")
-    if not max_clusters >= 1:
-        raise ValueError("max_clusters must be >= 1")
-    if not radius > 0:
-        raise ValueError("radius must be > 0")
-    if math.isinf(radius) and kind != "student":
-        raise ValueError("radius=inf needs the student prior")
-    if math.isfinite(radius):  # radius=inf (student prior) has no square to check
-        check_radius(radius, "the prior")
-    if not 0 <= decay < math.inf:
-        raise ValueError("decay must be >= 0 and finite")
-    if not 0 < scale < math.inf:
-        raise ValueError("prior_scale must be > 0 and finite")
-    if kind == "student":  # sample_prior takes about 1/mass draws per block
-        from .priors import estimate_truncation_prob
-
-        mass = estimate_truncation_prob(dim, radius, scale)
-        if not mass >= 1e-4:
-            raise ValueError(f"the student prior keeps mass {mass:.3g} inside the ball of "
-                             "radius 2R, below 1e-4: raise radius or lower prior_scale")
-
-
 @dataclass(frozen=True)
 class StreamConfig:
     """Full configuration of one online clustering run.  The k-means fits
-    that place the proposals always use :class:`KMeansConfig` defaults.
+    that place the proposals always use :class:`KMeansConfig` defaults, and
+    ``prior``, the run's checked prior, is built once and is not a field.
 
     dim
         Dimension d of the observations.
@@ -229,8 +197,7 @@ class StreamConfig:
     label_correction: bool = False
 
     def __post_init__(self):
-        check_prior_settings(self.prior_kind, self.dim, self.max_clusters, self.radius,
-                             self.decay, self.prior_scale)
+        self.prior  # builds the prior, which checks its settings
         if self.chain_length < 1:
             raise ValueError("chain_length must be >= 1")
         from .online import TemperatureSchedule
@@ -239,6 +206,14 @@ class StreamConfig:
         object.__setattr__(self, "schedule", schedule.resolve(self.dim, self.radius))
         if self.schedule.kind == "default":  # its score variance weights read R
             check_radius(self.radius, "the default schedule")
+
+    @functools.cached_property
+    def prior(self) -> PriorSpec:
+        """The run's :class:`~jumpclust.priors.PriorSpec`, built (and so
+        checked) on first read, which ``__post_init__`` makes."""
+        from .priors import PriorSpec
+
+        return PriorSpec.from_config(self)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import KMeansConfig, RunRecord, check_radius, clip_to_ball, seeded_rng
+from .core import KMeansConfig, RunRecord, StreamConfig, check_radius, clip_to_ball, seeded_rng
 from .proposals import kmeans_fit, within_cluster_loss
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _OCL_STREAM = 7
-_OCL_MAX_ITER = 200
 
 
 def ocl(xs: np.ndarray, k_star: int, radius: float, rng, restarts: int = 50) -> float:
@@ -56,7 +55,7 @@ def ocl(xs: np.ndarray, k_star: int, radius: float, rng, restarts: int = 50) -> 
     if k_star < 1:
         raise ValueError("k_star must be >= 1")
     xs = np.asarray(xs, dtype=float)
-    fit = kmeans_fit(xs, k_star, KMeansConfig(restarts=restarts, max_iter=_OCL_MAX_ITER), rng)
+    fit = kmeans_fit(xs, k_star, KMeansConfig(restarts=restarts), rng)
     return within_cluster_loss(clip_to_ball(fit, radius), xs)
 
 
@@ -301,15 +300,12 @@ class RegretReport:
 
 def regret_report(
     results,
-    radius: float,
-    eta: float,
-    max_clusters: int,
-    dim: int = 2,
+    cfg: StreamConfig,
     ocl_restarts: int = 50,
     steps: Optional[Sequence[int]] = None,
-    seed: int = 0,
 ) -> RegretReport:
-    """Build the regret summary from (stream, record) repetition pairs.
+    """Build the regret summary from (stream, record) repetition pairs run
+    under ``cfg``, whose radius, decay, max_clusters, dim and seed it reads.
 
     Streams must carry true cluster counts.  ``steps`` restricts the rows
     (the per-step oracle fits dominate the cost); default is every step.
@@ -338,14 +334,16 @@ def regret_report(
             ocl(
                 s.xs[:t],
                 ks,
-                radius,
+                cfg.radius,
                 restarts=ocl_restarts,
-                rng=seeded_rng(seed, (_OCL_STREAM, r, int(t))),
+                rng=seeded_rng(cfg.seed, (_OCL_STREAM, r, int(t))),
             )
             for r, s in enumerate(streams)
         ]
         ocl_mean[i] = float(np.mean(vals))
-        bound[i] = regret_bound_anytime(ks, int(t), dim, radius, eta, max_clusters)
+        bound[i] = regret_bound_anytime(
+            ks, int(t), cfg.dim, cfg.radius, cfg.decay, cfg.max_clusters
+        )
     return RegretReport(
         t=ts,
         ecl=ecl,

@@ -27,7 +27,7 @@ from .core import (
     validate_observation,
 )
 from .posterior import TargetDensity
-from .priors import PriorSpec, sample_prior
+from .priors import sample_prior
 from .proposals import StepProposals, proposal_scale
 from .scoring import ScoreContext, instantaneous_loss
 
@@ -208,8 +208,7 @@ def run_stream(
     1-based step numbers) the trace of the sampler run triggered by x_t.
     Identical (cfg, data, seed, rep) replay bit-identically.
     """
-    prior = PriorSpec.from_config(cfg)
-    current = sample_prior(prior, seeded_rng(cfg.seed, (_INIT_STREAM, rep)))
+    current = sample_prior(cfg.prior, seeded_rng(cfg.seed, (_INIT_STREAM, rep)))
     observations, ref_losses, lam_prev = [], [], []  # x_s, realized loss, variance weight
     jitter_scale = cfg.radius if math.isfinite(cfg.radius) else cfg.prior_scale
     steps = []
@@ -235,7 +234,7 @@ def run_stream(
         tgt = TargetDensity(
             lambda_at(cfg.schedule, t),
             ScoreContext(observations, ref_losses, lam_prev),
-            prior,
+            cfg.prior,
             label_weighted=cfg.label_correction,
         )
         proposals = StepProposals(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Centers, check_prior_settings
+from .core import Centers, check_radius
 from .core import seeded_rng  # noqa: F401  bench/tracing.py wraps it here until ROADMAP item 1
 
 __all__ = [
@@ -138,7 +138,8 @@ def estimate_truncation_prob(dim: int, radius: float, scale: float) -> float:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Fully resolved prior: block family plus the cluster-count law."""
+    """Fully resolved prior: block family plus the cluster-count law.  Building
+    one is the one check of the prior settings (``StreamConfig.prior`` builds it)."""
 
     kind: str  # "uniform" | "student"
     dim: int
@@ -150,13 +151,30 @@ class PriorSpec:
     block_log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_prior_settings(self.kind, self.dim, self.max_clusters, self.radius,
-                             self.decay, self.scale)
+        if self.kind not in ("uniform", "student"):
+            raise ValueError(f"unknown prior_kind {self.kind!r}")
+        if not self.dim >= 1:
+            raise ValueError("dim must be >= 1")
+        if not self.max_clusters >= 1:
+            raise ValueError("max_clusters must be >= 1")
+        if not self.radius > 0:
+            raise ValueError("radius must be > 0")
+        if math.isinf(self.radius) and self.kind != "student":
+            raise ValueError("radius=inf needs the student prior")
+        if math.isfinite(self.radius):  # radius=inf (student prior) has no square to check
+            check_radius(self.radius, "the prior")
+        if not 0 <= self.decay < math.inf:
+            raise ValueError("decay must be >= 0 and finite")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("prior_scale must be > 0 and finite")
         if self.kind == "uniform":
             log_norm = (math.lgamma(self.dim / 2 + 1) - (self.dim / 2) * math.log(math.pi)
                         - self.dim * math.log(2 * self.radius))
         else:
             mass = estimate_truncation_prob(self.dim, self.radius, self.scale)
+            if not mass >= 1e-4:  # sample_prior takes about 1/mass draws per block
+                raise ValueError(f"the student prior keeps mass {mass:.3g} inside the ball of "
+                                 "radius 2R, below 1e-4: raise radius or lower prior_scale")
             log_norm = student_block_log_norm(self.dim, self.scale) - math.log(mass)
         object.__setattr__(self, "block_log_norm", log_norm)
 

@@ -115,26 +115,28 @@ def _plusplus_init(x: np.ndarray, xt: np.ndarray, k: int, restarts: int, rng) ->
     return centers
 
 
-def _lloyd(
-    x: np.ndarray, xt: np.ndarray, centers: np.ndarray, max_iter: int, tol: float
-) -> Tuple[np.ndarray, np.ndarray]:
+_TOL = 1e-8  # a restart whose pass improves its loss by less than this fraction is done
+_MAX_ITER = 100  # Lloyd passes at most; no fit in the tests or benchmark workloads takes 25
+
+
+def _lloyd(x: np.ndarray, xt: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations on a (restarts, k, d) stack; empty clusters are
     reseeded to each restart's farthest point.  Returns (centers, losses).
 
     A restart is done, and keeps the centers a pass scored, when that
-    pass's loss is not below (1 - tol) times the previous pass's, or when
+    pass's loss is not below (1 - _TOL) times the previous pass's, or when
     the pass finds it settled: labels equal to the previous pass's and no
     empty cluster.  A settled restart's centers are the means of those same
     labels, so its new means are bit for bit its centers and later passes
     would only repeat this one; counting it done changes no bit.  Once
     every restart is done, the losses that pass computed are returned;
-    only the ``max_iter`` exit scores the centers again.
+    only the ``_MAX_ITER`` exit scores the centers again.
     """
     restarts, k, _ = centers.shape
     prev = np.full(restarts, np.inf)
     prev_labels = None
     eye = np.eye(k)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = sq_dists(centers, xt)  # (r, k, n)
         labels = d2.argmin(axis=1)
         point_loss = d2.min(axis=1)
@@ -153,7 +155,7 @@ def _lloyd(
                 empty = np.nonzero(counts[r] == 0)[0]
                 farthest = np.argsort(point_loss[r])[::-1][: empty.size]
                 new_centers[r, empty] = x[farthest]
-        done = loss >= prev * (1.0 - tol)
+        done = loss >= prev * (1.0 - _TOL)
         if prev_labels is not None:
             done |= full & (labels == prev_labels).all(axis=1)
         if done.all():
@@ -209,7 +211,7 @@ def kmeans_fit(
         if extra_init is not None:
             extra = np.asarray(extra_init, dtype=float).reshape(1, k, d)
             inits = np.concatenate([inits, extra], axis=0)
-        centers, losses = _lloyd(x, xt, inits, cfg.max_iter, cfg.tol)
+        centers, losses = _lloyd(x, xt, inits)
         fit = centers[int(losses.argmin())].copy()
     fit.flags.writeable = False
     return fit

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from jumpclust.core import (
     seeded_rng,
 )
 from jumpclust import priors
-from jumpclust.online import TemperatureSchedule
+from jumpclust.online import TemperatureSchedule, run_stream
 from jumpclust.priors import PriorSpec
 
 
@@ -151,9 +152,26 @@ class TestStreamConfig:
         with pytest.raises(ValueError):
             KMeansConfig(restarts=0)
 
-    def test_kmeans_tol_nan_refused(self):
-        with pytest.raises(ValueError, match="kmeans tol must be >= 0"):
-            KMeansConfig(tol=math.nan)
+    def test_prior_is_built_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=priors.estimate_truncation_prob):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(priors, "estimate_truncation_prob", counted)
+        cfg = self._base(prior_kind="student", radius=7.25, prior_scale=3.5, chain_length=5)
+        run_stream(np.array([[0.5, -1.0], [2.0, 1.0], [-1.5, 0.25]]), cfg)
+        assert calls == [(2, 7.25, 3.5)]
+        assert cfg.prior == PriorSpec.from_config(cfg)
+        assert cfg.prior.block_log_norm == PriorSpec.from_config(cfg).block_log_norm
+
+    def test_prior_is_not_a_config_field(self):
+        cfg = self._base(prior_kind="student", radius=7.25, prior_scale=3.5)
+        dumped = dump_config(cfg)
+        assert "prior" not in dumped
+        assert load_config(dumped) == cfg
+        assert dataclasses.replace(cfg, seed=3).prior == cfg.prior
 
 
 class TestConfigFile:

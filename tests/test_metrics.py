@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from jumpclust.core import Centers, RunRecord, StepRecord, StreamConfig, seeded_rng
-from jumpclust.datagen import SyntheticSpec
+from jumpclust import proposals
+from jumpclust.core import (
+    Centers,
+    KMeansConfig,
+    RunRecord,
+    StepRecord,
+    StreamConfig,
+    seeded_rng,
+)
+from jumpclust.datagen import SyntheticSpec, generate
 from jumpclust.metrics import (
+    _OCL_STREAM,
     correct_k_count,
     ecl_curve,
     k_mode_curve,
@@ -20,7 +29,8 @@ from jumpclust.metrics import (
     student_kl_bound,
     updated_k_sequence,
 )
-from jumpclust.online import run_synthetic_repetitions
+from jumpclust.online import _DATA_STREAM, run_synthetic_repetitions
+from jumpclust.proposals import kmeans_fit
 
 
 def record_with_ks(ks, losses=None):
@@ -54,6 +64,23 @@ class TestOcl:
     def test_rng_is_required(self):
         with pytest.raises(TypeError, match="rng"):
             ocl(np.zeros((4, 2)), 1, radius=1.0)
+
+    def test_shared_lloyd_cap_does_not_bind(self, monkeypatch):
+        # the replicate benchmark's last OCL fit (seed 0, rep 0, t = 200, k = 10,
+        # 50 restarts) settles within the proposals' pass cap: only a fit that
+        # runs out of Lloyd passes rescores its restarts with nearest_sq_dist
+        stream = generate(SyntheticSpec(kind="sine_drift", horizon=200),
+                          seeded_rng(0, (_DATA_STREAM, 0)))
+        assert stream.k_true[-1] == 10
+        calls = []
+
+        def counted(*args, _fn=proposals.nearest_sq_dist):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(proposals, "nearest_sq_dist", counted)
+        kmeans_fit(stream.xs, 10, KMeansConfig(restarts=50), seeded_rng(0, (_OCL_STREAM, 0, 200)))
+        assert calls == []
 
 
 class TestCounting:
@@ -249,10 +276,7 @@ class TestRegretReport:
         cfg = StreamConfig(dim=2, max_clusters=4, radius=12.0, chain_length=30, seed=2)
         spec = SyntheticSpec(kind="sine_drift", horizon=8)
         results = run_synthetic_repetitions(cfg, spec, reps=2)
-        report = regret_report(
-            results, radius=12.0, eta=0.0, max_clusters=4, dim=2,
-            ocl_restarts=8, steps=[4, 8],
-        )
+        report = regret_report(results, cfg, ocl_restarts=8, steps=[4, 8])
         np.testing.assert_allclose(report.regret, report.ecl - report.ocl)
         assert report.t.tolist() == [4, 8]
         assert report.k_true.tolist() == [1, 1]
@@ -268,4 +292,4 @@ class TestRegretReport:
         stream = SyntheticStream(xs=np.array([[0.0], [1.0]]))
         rec = run_stream(stream.xs, cfg)
         with pytest.raises(ValueError, match="true cluster counts"):
-            regret_report([(stream, rec)], radius=5.0, eta=0.0, max_clusters=2, dim=1)
+            regret_report([(stream, rec)], cfg)

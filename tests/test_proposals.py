@@ -436,12 +436,15 @@ def lloyd_case(i):
 
 class TestLloydStopRule:
     """``_lloyd`` stops a restart once its labels settle; the fits and
-    losses are bit for bit those of the loop that ran on to the tol test."""
+    losses are bit for bit those of the loop that ran on to the tol test.
+    Its stop rules are module constants, set here through monkeypatch."""
 
-    def test_same_bits_as_the_reference_loop(self):
+    def test_same_bits_as_the_reference_loop(self, monkeypatch):
         for i in range(600):
             x, xt, centers, max_iter, tol = lloyd_case(i)
-            got = proposals._lloyd(x, xt, centers, max_iter, tol)
+            monkeypatch.setattr(proposals, "_TOL", tol)
+            monkeypatch.setattr(proposals, "_MAX_ITER", max_iter)
+            got = proposals._lloyd(x, xt, centers)
             ref = reference_lloyd(x, xt, centers, max_iter, tol)
             assert got[0].tobytes() == ref[0].tobytes(), i
             assert got[1].tobytes() == ref[1].tobytes(), i
@@ -471,10 +474,11 @@ class TestLloydStopRule:
         x = rng.uniform(-8, 8, size=(4, 2))[rng.integers(0, 4, size=80)]
         x += 0.3 * rng.standard_normal(x.shape)
         xt = np.ascontiguousarray(x.T)
-        fit, _ = proposals._lloyd(x, xt, x[None, :4].copy(), 100, 1e-8)
+        assert (proposals._MAX_ITER, proposals._TOL) == (100, 1e-8)
+        fit, _ = proposals._lloyd(x, xt, x[None, :4].copy())
         start = fit + shift
         new = self.count_passes(monkeypatch, proposals,
-                                lambda: proposals._lloyd(x, xt, start, 100, 1e-8))
+                                lambda: proposals._lloyd(x, xt, start))
         old = self.count_passes(monkeypatch, sys.modules[__name__],
                                 lambda: reference_lloyd(x, xt, start, 100, 1e-8))
         assert new == {"sq_dists": 2, "nearest_sq_dist": 0}
@@ -482,6 +486,8 @@ class TestLloydStopRule:
 
     def test_only_running_out_of_passes_rescores(self, monkeypatch):
         x, xt, centers, _, _ = lloyd_case(5)
+        monkeypatch.setattr(proposals, "_TOL", 0.0)
+        monkeypatch.setattr(proposals, "_MAX_ITER", 1)
         calls = self.count_passes(monkeypatch, proposals,
-                                  lambda: proposals._lloyd(x, xt, centers, 1, 0.0))
+                                  lambda: proposals._lloyd(x, xt, centers))
         assert calls == {"sq_dists": 1, "nearest_sq_dist": 1}
