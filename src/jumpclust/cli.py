@@ -5,7 +5,6 @@ Subcommands
 run            Run the online clusterer over a CSV stream or a generated one.
 replicate      Repeat the drifting-groups benchmark and score cluster-count
                accuracy (plus a regret summary against the anytime bound).
-trace          Export one step's sampler trace (k, acceptance ratio, ...).
 bounds         Evaluate the closed-form regret-bound remainders.
 generate       Emit the sine_drift stream as CSV.
 oracle-check   Compare the sampler's k-marginal against the grid oracle on
@@ -165,18 +164,11 @@ def _load_stream(args):
                 xs.append([float(row[cols[c]]) for c in xcols])
                 if "k_true" in cols:
                     ks.append(int(row[cols["k_true"]]))
-            return np.asarray(xs), (np.asarray(ks, dtype=int) if ks else None)
+            xs = np.asarray(xs).reshape(-1, len(xcols))  # (0, d) for a header-only file
+            return xs, (np.asarray(ks, dtype=int) if ks else None)
     spec = SyntheticSpec(kind=args.synthetic, horizon=args.horizon)
     stream = generate(spec, seeded_rng(args.data_seed, (_DATA_STREAM, 0)))
     return stream.xs, stream.k_true
-
-
-def _add_stream_args(p: _Parser):
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--data", help="input stream CSV (columns x1..xd, optional k_true)")
-    src.add_argument("--synthetic", choices=["sine_drift"], help="generate the stream instead")
-    p.add_argument("--horizon", type=_in_range(int, 1), default=200, help="steps for --synthetic")
-    p.add_argument("--data-seed", type=_in_range(int, 0), default=0, help="seed for --synthetic data")
 
 
 # --- run --------------------------------------------------------------------
@@ -190,6 +182,8 @@ def _cmd_run(args) -> int:
     if late:
         raise CliError(f"--trace-step {late[0]} outside the stream (length {xs.shape[0]})")
     if args.radius_auto:  # the schedule takes the new radius too
+        if xs.shape[0] == 0:
+            raise CliError("--radius-auto needs at least one observation; the stream is empty")
         schedule = dataclasses.replace(cfg.schedule, radius=None)
         cfg = dataclasses.replace(
             cfg, radius=float(np.linalg.norm(xs, axis=1).max()), schedule=schedule
@@ -268,26 +262,6 @@ def _cmd_replicate(args) -> int:
     std_text = f"{std:.2f}" if std is not None else "n/a"
     print(f"correct-k over {args.reps} repetitions: mean={mean:.2f} std={std_text}")
     print(f"wrote {counts_path}, {stats_path}, {regret_path}")
-    return 0
-
-
-# --- trace --------------------------------------------------------------------
-
-def _cmd_trace(args) -> int:
-    cfg = load_config(args.config)
-    xs, _ = _load_stream(args)
-    if args.step > xs.shape[0]:
-        raise CliError(f"--step {args.step} outside the stream (length {xs.shape[0]})")
-    (out_path,) = _prepare_outputs(args.out, [f"trace_t{args.step}.csv"], args.overwrite)
-    record = run_stream(xs[: args.step], cfg, rep=args.rep, trace_steps={args.step})
-    trace = record.steps[-1].trace
-    rows = [
-        [args.step, n + 1, int(trace.k_current[n]), int(trace.k_proposed[n]),
-         repr(float(trace.alpha[n])), int(trace.accepted[n])]
-        for n in range(len(trace))
-    ]
-    _write_csv(out_path, ["t", "n", "k_current", "k_proposed", "alpha", "accepted"], rows)
-    print(f"wrote {out_path} ({len(trace)} iterations, acceptance rate {trace.acceptance_rate():.3f})")
     return 0
 
 
@@ -421,7 +395,11 @@ def build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="run the online clusterer over a stream")
     run.add_argument("--config", required=True, help="JSON config file")
-    _add_stream_args(run)
+    src = run.add_mutually_exclusive_group(required=True)
+    src.add_argument("--data", help="input stream CSV (columns x1..xd, optional k_true)")
+    src.add_argument("--synthetic", choices=["sine_drift"], help="generate the stream instead")
+    run.add_argument("--horizon", type=_in_range(int, 1), default=200, help="steps for --synthetic")
+    run.add_argument("--data-seed", type=_in_range(int, 0), default=0, help="seed for --synthetic data")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=_in_range(int, 0), default=None, help="override the config seed")
     run.add_argument("--rep", type=_in_range(int, 0), default=0, help="repetition index (stream id)")
@@ -443,15 +421,6 @@ def build_parser() -> _Parser:
     rep.add_argument("--out", required=True)
     rep.add_argument("--overwrite", action="store_true")
     rep.set_defaults(fn=_cmd_replicate)
-
-    tr = sub.add_parser("trace", help="export one step's sampler trace")
-    tr.add_argument("--config", required=True)
-    _add_stream_args(tr)
-    tr.add_argument("--step", type=_in_range(int, 1), required=True, help="1-based observation index")
-    tr.add_argument("--rep", type=_in_range(int, 0), default=0)
-    tr.add_argument("--out", required=True)
-    tr.add_argument("--overwrite", action="store_true")
-    tr.set_defaults(fn=_cmd_trace)
 
     bo = sub.add_parser("bounds", help="evaluate regret-bound remainders")
     bo.add_argument("--k", type=_in_range(int, 1), required=True)

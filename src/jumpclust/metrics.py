@@ -145,11 +145,9 @@ def regret_bound_anytime(
     Identical to the horizon-tuned bound except the variance term doubles:
     the price of not knowing the horizon.
     """
-    _check_common(k, horizon, dim, radius, eta, max_clusters)
-    rt = math.sqrt(horizon)
     return regret_bound_horizon(k, horizon, dim, radius, eta, max_clusters) + (
         81.0 * (dim + 2) * radius**2 / 4.0
-    ) * rt
+    ) * math.sqrt(horizon)
 
 
 def student_dim_constant(dim: int) -> float:

@@ -141,7 +141,10 @@ class TestRun:
         ) == 0
         lines = (out / "records.jsonl").read_text().strip().splitlines()
         record = RunRecord.from_json_lines(lines)
-        assert record.steps[1].trace is not None and len(record.steps[1].trace) == 30
+        trace = record.steps[1].trace
+        assert trace is not None and len(trace) == 30  # chain_length
+        assert all(0.0 <= a <= 1.0 for a in trace.alpha)
+        assert all(1 <= k <= 4 for k in trace.k_current)
         assert record.steps[0].trace is None
         assert record.to_json_lines() == lines
 
@@ -202,10 +205,26 @@ class TestRun:
         assert main(["run", "--config", str(path), "--synthetic", "sine_drift",
                      "--horizon", "4", "--radius-auto", "--out", str(tmp_path / "out")]) == 0
 
-    @pytest.mark.parametrize("command", ["run", "trace"])
-    def test_csv_blank_lines_skipped_and_short_rows_named(
-        self, command, small_config_path, tmp_path, capsys
-    ):
+    def test_header_only_csv_writes_a_zero_step_record(self, small_config_path, tmp_path):
+        data = tmp_path / "header.csv"
+        data.write_text("t,x1,x2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", small_config_path, "--data", str(data),
+                     "--out", str(out)]) == 0
+        record = RunRecord.from_json_lines((out / "records.jsonl").read_text().splitlines())
+        assert record.horizon == 0
+        assert read_csv(out / "summary.csv") == [["t", "k", "loss", "cum_loss"]]
+
+    def test_radius_auto_on_an_empty_stream_is_refused(self, small_config_path, tmp_path, capsys):
+        data = tmp_path / "header.csv"
+        data.write_text("t,x1,x2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", small_config_path, "--data", str(data),
+                     "--radius-auto", "--out", str(out)]) == 2
+        assert "--radius-auto needs at least one observation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_blank_lines_skipped_and_short_rows_named(self, small_config_path, tmp_path, capsys):
         data = tmp_path / "data.csv"
         assert main(["generate", "--horizon", "6", "--seed", "3", "--out", str(data)]) == 0
         lines = data.read_text().splitlines()
@@ -215,12 +234,12 @@ class TestRun:
         short.write_text("\n".join(lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:]) + "\n")
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        step = ["--step", "6"] if command == "trace" else []
         codes = {}
         for src in (data, blank, short, empty):
             out = tmp_path / f"out-{src.stem}"
-            argv = [command, "--config", small_config_path, "--data", str(src), "--out", str(out)]
-            codes[src.stem] = main(argv + step)
+            codes[src.stem] = main(
+                ["run", "--config", small_config_path, "--data", str(src), "--out", str(out)]
+            )
         assert codes == {"data": 0, "blank": 0, "short": 2, "empty": 2}
         err = capsys.readouterr().err
         assert "short.csv: line 5 has 3 fields" in err
@@ -287,6 +306,13 @@ class TestRun:
             main(["run", "--config"])  # missing value
         assert exc.value.code == 1
 
+    def test_trace_is_not_a_command(self, small_config_path, tmp_path, capsys):
+        # a step's trace comes from run --trace-step, stored in records.jsonl
+        assert exit_code(["trace", "--config", small_config_path, "--synthetic", "sine_drift",
+                          "--step", "2", "--out", str(tmp_path / "tr")]) == 1
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+        assert not (tmp_path / "tr").exists()
+
 
 class TestReplicate:
     def test_single_repetition(self, tmp_path):
@@ -311,30 +337,6 @@ class TestReplicate:
               "--regret-every", "6", "--ocl-restarts", "3", "--out", str(out)])
         captured = capsys.readouterr()
         assert "upper approximation" in captured.out
-
-
-class TestTrace:
-    def test_trace_rows_and_ranges(self, small_config_path, tmp_path):
-        out = tmp_path / "tr"
-        code = main(
-            ["trace", "--config", small_config_path, "--synthetic", "sine_drift",
-             "--horizon", "6", "--step", "4", "--out", str(out)]
-        )
-        assert code == 0
-        rows = read_csv(out / "trace_t4.csv")
-        assert rows[0] == ["t", "n", "k_current", "k_proposed", "alpha", "accepted"]
-        body = rows[1:]
-        assert len(body) == 30  # chain_length
-        assert all(0.0 <= float(r[4]) <= 1.0 for r in body)
-        assert all(1 <= int(r[2]) <= 4 for r in body)
-        assert all(r[0] == "4" for r in body)
-
-    def test_step_beyond_stream(self, small_config_path, tmp_path):
-        code = main(
-            ["trace", "--config", small_config_path, "--synthetic", "sine_drift",
-             "--horizon", "6", "--step", "9", "--out", str(tmp_path / "tr")]
-        )
-        assert code == 2
 
 
 class TestBounds:
@@ -482,7 +484,6 @@ class TestRangesAtParseTime:
         "run-horizon": ["run"] + STREAM + ["--horizon", "0"],
         "run-rep": ["run"] + STREAM + ["--rep", "-1"],
         "run-trace-step": ["run"] + STREAM + ["--trace-step", "0"],
-        "trace-step": ["trace"] + STREAM + ["--step", "0"],
         "generate-horizon": ["generate", "--horizon", "0", "--out", "OUT/stream.csv"],
     }
 

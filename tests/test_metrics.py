@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,16 @@ class TestBoundEvaluators:
         args = (3, 150, 2, 4.0, 0.7, 12)
         gap = regret_bound_anytime(*args) - regret_bound_horizon(*args)
         assert gap == pytest.approx(81 * 4 * 16.0 / 4 * math.sqrt(150), rel=1e-12)
+
+    def test_anytime_refuses_what_horizon_refuses(self):
+        # the first failing argument names the error, whichever bound is asked
+        bad = [(0, 0, 2, 1.0, 0.0, 5), (3, 0, 0, 1.0, 0.0, 5), (3, 10, 0, math.nan, 0.0, 5),
+               (3, 10, 2, 1e-200, -1.0, 5), (3, 10, 2, 1.0, -1.0, 5), (1, 10, 2, 1.0, 0.0, 0)]
+        for args in bad:
+            with pytest.raises(ValueError) as horizon:
+                regret_bound_horizon(*args)
+            with pytest.raises(ValueError, match=re.escape(str(horizon.value))):
+                regret_bound_anytime(*args)
 
     def test_eta_zero_drops_exactly_one_term(self):
         with_eta = regret_bound_horizon(4, 100, 2, 2.0, 0.5, 8)

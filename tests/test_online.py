@@ -163,16 +163,20 @@ class TestRunStream:
         assert a.to_json_lines() == b.to_json_lines()
 
     def test_prefix_consistency_no_lookahead(self):
-        # outputs at steps 1..20 depend only on x_{1:20}; by step 20 the
-        # k-means fits at k >= 2 start from earlier steps' fits
+        # outputs at steps 1..20, and step 20's sampler trace, depend only on
+        # x_{1:20}; by step 20 the k-means fits at k >= 2 start from earlier
+        # steps' fits
         cfg = small_config()
         xs = generate(SyntheticSpec(kind="sine_drift", horizon=30), seeded_rng(4, 0)).xs
-        full = run_stream(xs, cfg)
-        prefix = run_stream(xs[:20], cfg)
+        full = run_stream(xs, cfg, trace_steps={20})
+        prefix = run_stream(xs[:20], cfg, trace_steps={20})
         assert len(prefix.steps) == 20
         for a, b in zip(prefix.steps, full.steps[:20]):
             assert a.centers == b.centers and a.loss == b.loss
         assert prefix.final_centers == full.steps[20].centers
+        a, b = prefix.steps[19].trace, full.steps[19].trace
+        for field in ("k_proposed", "alpha", "accepted", "k_current"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_cluster_count_stays_in_range(self):
         cfg = small_config()
