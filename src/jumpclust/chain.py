@@ -46,8 +46,8 @@ __all__ = [
 # rows per pool chunk; each chunk is drawn by its own student_sample call
 _POOL_ROWS = 32
 # a refill evaluates as many chunks as the pool holds (at least one) in one
-# batched call, capped so that the score's (rows, k, d, t) temporary keeps
-# to this many elements
+# batched call, capped so that rows * k * d * t, which bounds the score's
+# (rows, k, t) distance array, keeps to this many elements
 _BATCH_ELEMENTS = 2**15
 # one chain draw per iteration, uniform on [0, 3 * 2**50): its residue mod 3
 # gives the dimension offset (exactly 1/3 each of -1, 0, +1) and its

@@ -178,6 +178,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     xs, k_true = _load_stream(args)
+    if xs.shape[1] != cfg.dim:  # refused before any output, even with no rows to validate
+        raise CliError(f"observation has dimension {xs.shape[1]}, expected {cfg.dim}")
     late = [t for t in args.trace_step or () if t > xs.shape[0]]
     if late:
         raise CliError(f"--trace-step {late[0]} outside the stream (length {xs.shape[0]})")

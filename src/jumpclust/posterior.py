@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 MAX_GRID_CELLS = 10**7
-# cells evaluated per batch, which bounds the oracle's (cells, k, d, t) distance array
+# cells evaluated per batch, which bounds the oracle's (cells, k, t) distance array
 _CELL_CHUNK = 2**16
 
 
@@ -145,15 +145,21 @@ def _unordered_cells(b: int, k: int):
     log_runs = np.zeros(1)
     for depth in range(1, k + 1):
         width = b - last  # choices of a next index >= last
-        starts = np.cumsum(width) - width
-        n = int(starts[-1] + width[-1])
+        ends = np.cumsum(width)
+        starts = ends - width
+        n = int(ends[-1])
         step = _CELL_CHUNK if depth == k else n  # shorter tuples are built whole
         for lo in range(0, n, step):
-            pos = np.arange(lo, min(lo + step, n))
-            row = np.searchsorted(starts, pos, side="right") - 1
-            nxt = last[row] + (pos - starts[row])
+            hi = min(lo + step, n)
+            # prefixes first..final cover the chunk, each once per position it owns
+            first, final = np.searchsorted(starts, [lo, hi - 1], side="right") - 1
+            prefixes = np.arange(first, final + 1)
+            owned = np.minimum(ends[prefixes], hi) - np.maximum(starts[prefixes], lo)
+            row = np.repeat(prefixes, owned)
+            nxt = last[row] + (np.arange(lo, hi) - starts[row])
             nrun = np.where(nxt == last[row], run[row] + 1, 1)
-            nidx = np.column_stack([idx[row], nxt])
+            nidx = np.empty((hi - lo, depth), dtype=np.intp)
+            nidx[:, :-1], nidx[:, -1] = idx[row], nxt
             nlog = log_runs[row] + np.log(nrun)
             if depth == k:
                 yield nidx, math.lgamma(k + 1) - nlog

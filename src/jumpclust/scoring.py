@@ -65,8 +65,12 @@ def sq_dists(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
 def nearest_sq_dist(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
     """Squared distance from each column of xs_t (d, t) to its nearest row of
     points: the min over k of :func:`sq_dists`, (t,) for one (k, d) center
-    vector and (n, t) for a (n, k, d) stack."""
-    return sq_dists(points, xs_t).min(axis=-2)
+    vector and (n, t) for a (n, k, d) stack.  The points are copied
+    center-major, (k, ..., d), so the min runs over k contiguous slabs, not a
+    short middle axis; each distance is the same float sum and a min is
+    exact, so the result does not depend on the layout."""
+    center_major = np.ascontiguousarray(points.transpose(-2, *range(points.ndim - 2), -1))
+    return sq_dists(center_major, xs_t).min(axis=0)
 
 
 def instantaneous_loss(c: Centers, x) -> float:

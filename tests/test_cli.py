@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -19,6 +20,7 @@ from jumpclust.metrics import (
     regret_bound_horizon,
     regret_bound_student,
 )
+from jumpclust.posterior import grid_oracle
 
 
 @pytest.fixture()
@@ -214,6 +216,18 @@ class TestRun:
         record = RunRecord.from_json_lines((out / "records.jsonl").read_text().splitlines())
         assert record.horizon == 0
         assert read_csv(out / "summary.csv") == [["t", "k", "loss", "cum_loss"]]
+
+    @pytest.mark.parametrize("rows", ["", "1,0.5\n"], ids=["header-only", "one-row"])
+    def test_data_dimension_other_than_the_config_is_refused_before_output(
+        self, small_config_path, tmp_path, capsys, rows
+    ):
+        data = tmp_path / "d1.csv"
+        data.write_text("t,x1\n" + rows)
+        out = tmp_path / "out"
+        assert main(["run", "--config", small_config_path, "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert "observation has dimension 1, expected 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_radius_auto_on_an_empty_stream_is_refused(self, small_config_path, tmp_path, capsys):
         data = tmp_path / "header.csv"
@@ -422,6 +436,20 @@ class TestGenerate:
 
 
 class TestOracleCheck:
+    # SHA-1 of the masses' bytes, recorded before the oracle's distance and
+    # enumeration kernels were rewritten to give the same bytes faster
+    @pytest.mark.parametrize("flags, digest", [
+        (["--dim", "1", "--resolution", "150"], "f0a0bddeb9d6f1a5833fba1ac6f766bc06beddec"),
+        (["--dim", "1", "--resolution", "150", "--prior-only"],
+         "c30cc4869b2b833aaccc3b4c91229022a5a11a47"),
+        (["--dim", "2", "--max-clusters", "2", "--resolution", "30"],
+         "b3da0267219259029892fd504196fbceae0a0cea"),
+    ])
+    def test_golden_oracle_masses(self, flags, digest):
+        args = build_parser().parse_args(["oracle-check", *flags])
+        masses = grid_oracle(cli._toy_target(args), args.resolution)
+        assert hashlib.sha1(masses.tobytes()).hexdigest() == digest
+
     def test_refuses_large_instances(self, capsys):
         assert exit_code(["oracle-check", "--max-clusters", "5"]) == 1
         assert exit_code(["oracle-check", "--dim", "3"]) == 1

@@ -194,7 +194,46 @@ class TestGridOracle:
             )
 
 
+def searchsorted_cells(b, k, chunk):
+    """The enumerator as it was before it built each chunk's rows with
+    np.repeat: one searchsorted per tuple and a column_stack per chunk."""
+    idx = np.zeros((1, 0), dtype=np.intp)
+    last = np.zeros(1, dtype=np.intp)
+    run = np.zeros(1, dtype=np.intp)
+    log_runs = np.zeros(1)
+    for depth in range(1, k + 1):
+        width = b - last
+        starts = np.cumsum(width) - width
+        n = int(starts[-1] + width[-1])
+        step = chunk if depth == k else n
+        for lo in range(0, n, step):
+            pos = np.arange(lo, min(lo + step, n))
+            row = np.searchsorted(starts, pos, side="right") - 1
+            nxt = last[row] + (pos - starts[row])
+            nrun = np.where(nxt == last[row], run[row] + 1, 1)
+            nidx = np.column_stack([idx[row], nxt])
+            nlog = log_runs[row] + np.log(nrun)
+            if depth == k:
+                yield nidx, math.lgamma(k + 1) - nlog
+        idx, last, run, log_runs = nidx, nxt, nrun, nlog
+
+
 class TestUnorderedCells:
+    @pytest.mark.parametrize("chunk", [_CELL_CHUNK, 7, 1000])
+    def test_same_chunks_as_the_searchsorted_builder(self, chunk, monkeypatch):
+        monkeypatch.setattr(posterior, "_CELL_CHUNK", chunk)
+        cases = [(b, k) for b in range(1, 10) for k in (1, 2, 3)]
+        if chunk > 7:  # oracle sizes in chunks of 7 would take 10^5 chunks
+            cases += [(150, 3), (400, 2), (2500, 2)]
+        for b, k in cases:
+            got = list(_unordered_cells(b, k))
+            ref = list(searchsorted_cells(b, k, chunk))
+            assert len(got) == len(ref), (b, k)
+            for (idx, log_orders), (ref_idx, ref_log_orders) in zip(got, ref):
+                assert idx.dtype == np.intp and idx.shape == ref_idx.shape, (b, k)
+                assert idx.tobytes() == ref_idx.tobytes(), (b, k)
+                assert log_orders.tobytes() == ref_log_orders.tobytes(), (b, k)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("b", [1, 2, 5, 9])
     def test_each_unordered_tuple_once_with_its_orderings(self, b, k, monkeypatch):

@@ -49,6 +49,25 @@ class TestNearestSqDist:
             nearest_sq_dist(points, xs.T), nearest_sq_dist(points, np.ascontiguousarray(xs.T))
         )
 
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_same_bytes_as_the_middle_axis_min(self, dim):
+        # reference: the min over the k axis of the (..., k, t) distances in
+        # the points' own layout, the kernel before it went center-major;
+        # t = 1 at d >= 8 is numpy's pairwise row sum
+        rng = seeded_rng(19, dim)
+        for t in (1, 3, 120):
+            xs_t = np.ascontiguousarray(rng.uniform(-15, 15, size=(t, dim)).T)
+            stacks = [rng.uniform(-30, 30, size=s) for s in ((4, dim), (1, dim), (6, 4, dim), (3, 1, dim))]
+            wide = rng.uniform(-30, 30, size=(6, 9, 2 * dim))
+            stacks += [wide[:, ::2, ::2], wide[::3, 1::3, :dim]]  # strided along every axis
+            if t == 3 and dim == 1:
+                stacks.append(rng.uniform(-2, 2, size=(2**16, 3, 1)))  # one oracle chunk
+            for points in stacks:
+                got = nearest_sq_dist(points, xs_t)
+                ref = sq_dists(points, xs_t).min(axis=-2)
+                assert got.shape == ref.shape and got.flags.c_contiguous
+                assert got.tobytes() == ref.tobytes(), (t, points.shape)
+
 
 class TestSqDists:
     """The shared kernel against the (n, k, d) broadcast k-means used before."""
