@@ -8,7 +8,6 @@ empirical cluster-count distribution and mixing statistics against it.
 import numpy as np
 
 from jumpclust import (
-    KMeansConfig,
     PriorSpec,
     ScoreContext,
     TargetDensity,
@@ -37,7 +36,6 @@ proposals = StepProposals(
     ctx.observations,
     tau=proposal_scale(3, 4),
     max_clusters=3,
-    kmeans_cfg=KMeansConfig(),
     rng_for_k=lambda k: seeded_rng(5, (3, k)),
     jitter_scale=1.0,
 )

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import KMeansConfig, StreamConfig, check_radius, load_config, seeded_rng
+from .core import StreamConfig, check_radius, check_seed, load_config, seeded_rng
 from .datagen import SyntheticSpec, generate, stream_csv_rows
 from .metrics import (
     correct_k_count,
@@ -116,6 +116,14 @@ def _radius(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse ``type=`` for a seed, refused outside [0, 2**64) like a config's."""
+    try:
+        return check_seed(_in_range(int, 0)(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _norm_list(text: str) -> list:
     """argparse ``type=`` for a comma-separated list of finite norms >= 0."""
     return [_in_range(float, 0)(v) for v in text.split(",")]
@@ -190,6 +198,7 @@ def _cmd_run(args) -> int:
         cfg = dataclasses.replace(
             cfg, radius=float(np.linalg.norm(xs, axis=1).max()), schedule=schedule
         )
+    lambda_at(cfg.schedule, xs.shape[0])  # the last step's temperature: a short schedule fails here
     rec_path, sum_path = _prepare_outputs(
         args.out, ["records.jsonl", "summary.csv"], args.overwrite
     )
@@ -372,7 +381,6 @@ def _cmd_oracle_check(args) -> int:
         tgt.ctx.observations,
         tau=proposal_scale(args.max_clusters, tgt.ctx.t + 1),
         max_clusters=args.max_clusters,
-        kmeans_cfg=KMeansConfig(),
         rng_for_k=lambda k: seeded_rng(args.seed, (_KMEANS_STREAM, 0, k)),
         jitter_scale=args.radius,
     )
@@ -401,9 +409,9 @@ def build_parser() -> _Parser:
     src.add_argument("--data", help="input stream CSV (columns x1..xd, optional k_true)")
     src.add_argument("--synthetic", choices=["sine_drift"], help="generate the stream instead")
     run.add_argument("--horizon", type=_in_range(int, 1), default=200, help="steps for --synthetic")
-    run.add_argument("--data-seed", type=_in_range(int, 0), default=0, help="seed for --synthetic data")
+    run.add_argument("--data-seed", type=_seed, default=0, help="seed for --synthetic data")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", type=_in_range(int, 0), default=None, help="override the config seed")
+    run.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     run.add_argument("--rep", type=_in_range(int, 0), default=0, help="repetition index (stream id)")
     run.add_argument("--radius-auto", action="store_true",
                      help="set the radius to the max observed |x|_2 before running")
@@ -416,7 +424,7 @@ def build_parser() -> _Parser:
     rep.add_argument("--reps", type=_in_range(int, 1), default=20)
     rep.add_argument("--horizon", type=_in_range(int, 1), default=200)
     rep.add_argument("--chain-length", type=_in_range(int, 1), default=500)
-    rep.add_argument("--seed", type=_in_range(int, 0), default=0)
+    rep.add_argument("--seed", type=_seed, default=0)
     rep.add_argument("--regret-every", type=_in_range(int, 1), default=10,
                      help="step spacing of the regret summary rows")
     rep.add_argument("--ocl-restarts", type=_in_range(int, 1), default=50)
@@ -442,7 +450,7 @@ def build_parser() -> _Parser:
 
     ge = sub.add_parser("generate", help="emit the sine_drift stream as CSV")
     ge.add_argument("--horizon", type=_in_range(int, 1), default=200)
-    ge.add_argument("--seed", type=_in_range(int, 0), default=0)
+    ge.add_argument("--seed", type=_seed, default=0)
     ge.add_argument("--out", default=None, help="output CSV (default: stdout)")
     ge.add_argument("--overwrite", action="store_true")
     ge.set_defaults(fn=_cmd_generate)
@@ -460,7 +468,7 @@ def build_parser() -> _Parser:
     oc.add_argument("--burn-in", type=_in_range(int, 0), default=2_000)
     oc.add_argument("--resolution", type=_in_range(int, 2), default=200)
     oc.add_argument("--tv-limit", type=_in_range(float, 0, 1, lo_open=True), default=0.05)
-    oc.add_argument("--seed", type=_in_range(int, 0), default=0)
+    oc.add_argument("--seed", type=_seed, default=0)
     oc.set_defaults(fn=_cmd_oracle_check)
 
     return p

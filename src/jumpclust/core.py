@@ -40,6 +40,14 @@ __all__ = [
 StreamId = Union[int, Sequence[int]]
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int; a non-integer seed, or one outside [0, 2**64), is
+    refused, since it would alias an integer 64-bit one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def seeded_rng(seed: int, stream_id: StreamId = 0) -> np.random.Generator:
     """Deterministic, platform-independent random generator.
 
@@ -49,7 +57,7 @@ def seeded_rng(seed: int, stream_id: StreamId = 0) -> np.random.Generator:
     how callers key streams by (purpose, repetition, time step).
     """
     key = (stream_id,) if isinstance(stream_id, (int, np.integer)) else tuple(stream_id)
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -177,7 +185,7 @@ class StreamConfig:
     chain_length
         Number of sampler iterations N per time step.
     seed
-        64-bit master seed; all randomness in a run derives from it.
+        Master seed in [0, 2**64); all randomness in a run derives from it.
     label_correction
         Weight each k-slice of the sampling target by k! to compensate the
         center-ordering confinement of the anchored proposals (see
@@ -200,6 +208,7 @@ class StreamConfig:
         self.prior  # builds the prior, which checks its settings
         if self.chain_length < 1:
             raise ValueError("chain_length must be >= 1")
+        check_seed(self.seed)
         from .online import TemperatureSchedule
 
         schedule = TemperatureSchedule() if self.schedule is None else self.schedule

@@ -10,6 +10,7 @@ chain ended in.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Container, Iterable, Optional, Sequence
@@ -18,7 +19,6 @@ import numpy as np
 
 from .chain import initial_state, run_chain
 from .core import (
-    KMeansConfig,
     RunRecord,
     StepRecord,
     StreamConfig,
@@ -99,7 +99,8 @@ class TemperatureSchedule:
         if self.kind == "custom":
             if not self.values:
                 raise ValueError("custom schedule needs a non-empty values tuple")
-            if not all(0 < v < math.inf for v in self.values):
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
+                       for v in self.values):
                 raise ValueError("custom schedule values must be > 0 and finite")
         if self.values is not None:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -241,7 +242,6 @@ def run_stream(
             tgt.ctx.observations,
             tau=proposal_scale(cfg.max_clusters, t + 1),
             max_clusters=cfg.max_clusters,
-            kmeans_cfg=KMeansConfig(),
             rng_for_k=lambda k, _t=t: seeded_rng(cfg.seed, (_KMEANS_STREAM, rep, _t, k)),
             jitter_scale=jitter_scale,
             earlier_fits=fits,

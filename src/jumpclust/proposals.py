@@ -172,20 +172,17 @@ def kmeans_fit(
     rng=None,
     extra_init: Optional[np.ndarray] = None,
     pad_jitter: float = 1e-6,
-    warm: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Best-of-restarts Lloyd fit with k-means++ seeding: a read-only (k, d)
-    array of centers.
+    """Best-of-restarts Lloyd fit: a read-only (k, d) array of centers.
 
-    Degenerate inputs are padded rather than rejected: with fewer distinct
-    points than k (including no points at all) the centers are the points
-    themselves plus jittered copies, so the fitter always returns exactly k
-    finite centers.  ``extra_init`` adds one extra starting stack (used to
-    inherit the best (k-1)-fit plus a split, which makes the fitted loss
-    non-increasing in k).  A ``warm`` (k, d) starting stack replaces the
-    k-means++ seedings when there are at least k points: Lloyd then runs
-    from ``warm`` and ``extra_init`` only, and ``rng`` is not read; every
-    other fit needs ``rng``.
+    Lloyd runs from one stack of starts: ``cfg.restarts`` k-means++
+    seedings when ``rng`` is given, then the (k, d) or (m, k, d) starts of
+    ``extra_init`` (such as an earlier fit of k, or the best (k-1)-fit plus
+    a split, which makes the fitted loss non-increasing in k).  A fit
+    without ``rng`` draws no random numbers; a cold fit (no
+    ``extra_init``) needs it, and so does a padded one: with fewer points
+    than k (including none) the centers are the points themselves plus
+    jittered copies, so the fitter always returns exactly k finite centers.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -195,7 +192,7 @@ def kmeans_fit(
     if not np.isfinite(x).all():
         raise ValueError("data must have finite coordinates")
     n, d = x.shape
-    if rng is None and (n < k or warm is None):
+    if rng is None and (n < k or extra_init is None):
         raise ValueError("a cold or padded k-means fit needs rng")
     if n == 0:
         fit = pad_jitter * rng.standard_normal((k, d))
@@ -204,14 +201,13 @@ def kmeans_fit(
         fit = np.concatenate([x, pad + pad_jitter * rng.standard_normal(pad.shape)])
     else:
         xt = np.ascontiguousarray(x.T)
-        if warm is None:
-            inits = _plusplus_init(x, xt, k, cfg.restarts, rng)
-        else:
-            inits = np.asarray(warm, dtype=float).reshape(1, k, d)
+        starts = [] if rng is None else [_plusplus_init(x, xt, k, cfg.restarts, rng)]
         if extra_init is not None:
-            extra = np.asarray(extra_init, dtype=float).reshape(1, k, d)
-            inits = np.concatenate([inits, extra], axis=0)
-        centers, losses = _lloyd(x, xt, inits)
+            extra = np.asarray(extra_init, dtype=float)
+            if extra.shape[-2:] != (k, d) or extra.ndim not in (2, 3):
+                raise ValueError(f"extra_init must be a (k, d) or (m, k, d) stack, k={k}, d={d}")
+            starts.append(extra.reshape(-1, k, d))
+        centers, losses = _lloyd(x, xt, np.concatenate(starts))
         fit = centers[int(losses.argmin())].copy()
     fit.flags.writeable = False
     return fit
@@ -222,15 +218,14 @@ def kmeans_fit(
 class StepProposals:
     """Proposal parameters for every k at one time step.
 
-    Fits are performed lazily in ascending k so each fit can inherit the
-    best lower-k solution (plus the farthest point as the split center) as
-    one of its starting stacks; this enforces that the within-cluster loss
-    of the fitted locations never increases with k.
-
-    ``earlier_fits`` (k -> the latest fit of k at an earlier step; carried
-    by the caller, updated here) warm-starts a k with at least k points:
-    Lloyd runs from that fit and the split start only, and ``rng_for_k`` is
-    not called.  Every other fit, and all without it, are cold.
+    Fits are performed lazily in ascending k.  A k with at least k points
+    fits from one stack of starts: the latest fit of k at an earlier step,
+    if ``earlier_fits`` (k -> that fit; carried by the caller, updated
+    here) holds one, then the best (k-1)-fit plus the farthest point as
+    the split center, which keeps the within-cluster loss of the fitted
+    locations non-increasing in k.  Only a k with no earlier fit, or above
+    the point count, reads ``rng_for_k(k)``: for ``kmeans_cfg.restarts``
+    k-means++ seedings, or for the padding.
     """
 
     def __init__(
@@ -238,8 +233,8 @@ class StepProposals:
         data: np.ndarray,
         tau: float,
         max_clusters: int,
-        kmeans_cfg: KMeansConfig,
         rng_for_k: Callable[[int], np.random.Generator],
+        kmeans_cfg: KMeansConfig = KMeansConfig(),
         jitter_scale: float = 1.0,
         earlier_fits: Optional[Dict[int, np.ndarray]] = None,
     ):
@@ -256,22 +251,15 @@ class StepProposals:
         self._earlier = {} if earlier_fits is None else earlier_fits
 
     def _fit(self, k: int) -> None:
-        extra = None
-        prev = self._params.get(k - 1)
         n = self.data.shape[0]
+        earlier = self._earlier.get(k) if k <= n else None
+        starts = [] if earlier is None else [earlier]
+        prev = self._params.get(k - 1)
         if prev is not None and k <= n:
             far = self.data[nearest_sq_dist(prev.locations, self.data.T).argmax()]
-            extra = np.concatenate([prev.locations, far.reshape(1, -1)])
-        warm = self._earlier.get(k) if k <= n else None
-        fit = kmeans_fit(
-            self.data,
-            k,
-            self.kmeans_cfg,
-            self._rng_for_k(k) if warm is None else None,
-            extra_init=extra,
-            pad_jitter=self._jitter,
-            warm=warm,
-        )
+            starts.append(np.concatenate([prev.locations, far.reshape(1, -1)]))
+        rng = self._rng_for_k(k) if earlier is None else None
+        fit = kmeans_fit(self.data, k, self.kmeans_cfg, rng, starts or None, self._jitter)
         self._earlier[k] = fit
         self._params[k] = ProposalParams(fit, self.tau)
 

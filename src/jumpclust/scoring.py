@@ -43,16 +43,9 @@ def sq_dists(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
     (..., k, t).  The observations come coordinate-major, so each
     coordinate is one contiguous length-t row.  The sum starts at
     (p_0 - x_0)^2 and adds (p_j - x_j)^2 for j = 1..d-1 in order, one
-    (..., k, t) term at a time: the float order of summing a
-    (..., k, d, t) difference over d, without that temporary.  A single
-    observation (t = 1) is the exception: numpy sums that difference as
-    one contiguous length-d row, pairwise from d = 8 on, so it is summed
-    that way here too.
+    (..., k, t) term at a time, so column s of the result does not depend
+    on how many observations share the call.
     """
-    if xs_t.shape[1] == 1:
-        diff = points - xs_t[:, 0]  # (..., k, d)
-        diff *= diff
-        return diff.sum(axis=-1)[..., None]
     out = points[..., :, 0, None] - xs_t[0]  # (..., k, t)
     out *= out
     for j in range(1, xs_t.shape[0]):

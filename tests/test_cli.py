@@ -315,6 +315,47 @@ class TestRun:
         assert "anytime schedule does not read field 'value'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [({"kind": "custom", "values": [1.0, 0.9, 0.8]}, "custom schedule has no entry for t=8"),
+         ({"kind": "horizon", "horizon": 5}, "t=8 exceeds the declared horizon 5")],
+        ids=["custom", "horizon"],
+    )
+    def test_schedule_shorter_than_the_stream_is_refused_before_sampling(
+        self, schedule, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the stream ran before the schedule was checked")
+
+        monkeypatch.setattr(cli, "run_stream", no_run)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"dim": 2, "max_clusters": 4, "radius": 12.0,
+                                    "chain_length": 10, "schedule": schedule}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--synthetic", "sine_drift",
+                     "--horizon", "8", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_schedule_as_long_as_the_stream_runs(self, tmp_path):
+        path = tmp_path / "exact.json"
+        schedule = {"kind": "custom", "values": [1.0, 0.9, 0.8, 0.7]}
+        path.write_text(json.dumps({"dim": 2, "max_clusters": 4, "radius": 12.0,
+                                    "chain_length": 10, "schedule": schedule}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--synthetic", "sine_drift",
+                     "--horizon", "3", "--out", str(out)]) == 0
+        assert len(read_csv(out / "summary.csv")) == 4
+
+    def test_seed_outside_64_bits_in_the_config_is_refused_before_output(self, tmp_path, capsys):
+        path = tmp_path / "neg.json"
+        path.write_text('{"dim": 2, "max_clusters": 4, "radius": 12.0, "seed": -1}')
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--synthetic", "sine_drift",
+                     "--horizon", "3", "--out", str(out)]) == 2
+        assert "seed must be an integer in [0, 2**64), got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config"])  # missing value
@@ -554,9 +595,30 @@ class TestRangesAtParseTime:
         assert message in captured.err
         assert "total variation" not in captured.out
 
-    def test_huge_integer_seed_is_accepted(self):
-        args = build_parser().parse_args(self.ORACLE + ["--seed", "9" * 400])
-        assert args.seed == int("9" * 400)
+    SEED_CASES = {
+        "generate-seed": ["generate", "--out", "OUT/stream.csv", "--seed"],
+        "oracle-seed": ORACLE + ["--seed"],
+        "replicate-seed": REPLICATE + ["--seed"],
+        "run-seed": ["run"] + STREAM + ["--seed"],
+        "run-data-seed": ["run"] + STREAM + ["--data-seed"],
+    }
+
+    @pytest.mark.parametrize("seed", [str(2**64), "9" * 400], ids=["2**64", "400-digits"])
+    @pytest.mark.parametrize("case", sorted(SEED_CASES))
+    def test_seed_past_64_bits_exits_1(self, case, seed, small_config_path, tmp_path, capsys):
+        # masked to 64 bits, seed 2**64 would replay seed 0's streams
+        out = tmp_path / "out"
+        argv = [a.replace("OUT", str(out)).replace("CFG", small_config_path)
+                for a in self.SEED_CASES[case]]
+        assert exit_code(argv + [seed]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert f"seed must be an integer in [0, 2**64), got {int(seed)}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_largest_seed_is_accepted(self):
+        args = build_parser().parse_args(self.ORACLE + ["--seed", str(2**64 - 1)])
+        assert args.seed == 2**64 - 1
 
     def test_float_flag_bounds_are_accepted(self):
         parser = build_parser()

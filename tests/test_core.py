@@ -44,6 +44,23 @@ class TestSeededRng:
         assert not np.array_equal(a, c)
 
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, 7.5, True])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # masked to 64 bits, -1 ran as 2**64 - 1 and 2**64 + 7 as 7; 7.5 ran as 7
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            seeded_rng(seed, 0)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            StreamConfig(dim=2, max_clusters=3, radius=1.0, seed=seed)
+        if type(seed) is int:  # the loader refuses the others as not of type int
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                load_config({"dim": 2, "max_clusters": 3, "radius": 1.0, "seed": seed})
+
+    def test_seed_range_ends(self):
+        assert seeded_rng(0, 0).random() != seeded_rng(2**64 - 1, 0).random()
+        assert seeded_rng(np.uint64(2**64 - 1), 0).random() == seeded_rng(2**64 - 1, 0).random()
+        assert StreamConfig(dim=2, max_clusters=3, radius=1.0, seed=2**64 - 1).seed == 2**64 - 1
+
+
 class TestCenters:
     def test_shape_and_accessors(self):
         c = Centers([[1.0, 2.0], [3.0, 4.0]])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpclust.core import StreamConfig, seeded_rng
+from jumpclust.core import StreamConfig, load_config, seeded_rng
 from jumpclust.datagen import SyntheticSpec, generate
 from jumpclust.online import (
     TemperatureSchedule,
@@ -75,10 +75,15 @@ class TestTemperatureSchedule:
         with pytest.raises(ValueError, match="fixed schedule needs a value > 0 and finite"):
             TemperatureSchedule.fixed(value)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.5", None])
     def test_custom_values_must_be_finite(self, value):
         with pytest.raises(ValueError, match="custom schedule values must be > 0 and finite"):
             TemperatureSchedule.custom([1.0, value])
+        # a JSON boolean or string is refused with the same error, not converted or wrapped
+        raw = {"dim": 2, "max_clusters": 3, "radius": 1.0,
+               "schedule": {"kind": "custom", "values": [value, 0.5]}}
+        with pytest.raises(ValueError, match="^custom schedule values must be > 0 and finite$"):
+            load_config(raw)
 
     def test_missing_fields_are_named(self):
         with pytest.raises(ValueError, match="anytime schedule is unresolved"):

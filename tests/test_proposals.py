@@ -204,9 +204,27 @@ class TestKMeansFit:
     @pytest.mark.parametrize("n", [0, 2, 30])  # padded from nothing, padded, cold Lloyd
     def test_cold_or_padded_fit_without_rng_is_refused(self, n):
         x = seeded_rng(40, n).standard_normal((n, 2))
-        warm = np.zeros((3, 2)) if n < 3 else None  # padding ignores a warm start
+        starts = np.zeros((3, 2)) if n < 3 else None  # padding ignores the starts
         with pytest.raises(ValueError, match="a cold or padded k-means fit needs rng"):
-            kmeans_fit(x, 3, KMeansConfig(), None, warm=warm)
+            kmeans_fit(x, 3, KMeansConfig(), None, extra_init=starts)
+
+    def test_fit_from_starts_alone_draws_no_random_numbers(self):
+        rng = seeded_rng(41, 0)
+        x = rng.standard_normal((50, 2)) + 4 * rng.integers(0, 3, size=(50, 1))
+        starts = rng.standard_normal((2, 3, 2))
+        before = np.random.get_state()[1].copy()
+        fit = kmeans_fit(x, 3, KMeansConfig(), None, extra_init=starts)
+        assert np.array_equal(np.random.get_state()[1], before)
+        # the bytes the fitter gave when the first start was a separate warm= argument
+        assert hashlib.sha1(fit.tobytes()).hexdigest() == "a1e90b524e6d22e0cba25cc7ae34eb3dd6dfcb34"
+        same = kmeans_fit(x, 3, KMeansConfig(restarts=7), None, extra_init=list(starts))
+        assert same.tobytes() == fit.tobytes()  # restarts count only k-means++ seedings
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 2, 2), (1, 1, 3, 2)])
+    def test_rejects_starts_of_another_shape(self, shape):
+        x = seeded_rng(42, 0).standard_normal((10, 2))
+        with pytest.raises(ValueError, match=r"extra_init must be a \(k, d\) or \(m, k, d\)"):
+            kmeans_fit(x, 3, KMeansConfig(), None, extra_init=np.zeros(shape))
 
     def test_rejects_one_dimensional_data(self):
         with pytest.raises(ValueError, match=r"\(n, d\) array"):
@@ -321,7 +339,7 @@ class TestWarmStarts:
         far = x[:33][((x[:33, None, :] - split[None]) ** 2).sum(axis=2).min(axis=1).argmax()]
         expected = kmeans_fit(
             x[:33], 4, KMeansConfig(restarts=4), None,
-            extra_init=np.concatenate([split, far[None]]), warm=first,
+            extra_init=[first, np.concatenate([split, far[None]])],
         )
         np.testing.assert_array_equal(got, expected)
         assert fits[4] is got

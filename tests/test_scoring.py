@@ -96,16 +96,33 @@ class TestSqDists:
 
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_same_bytes_as_the_broadcast_sum(self, dim):
-        # d >= 8 at t = 1 is where numpy's reduction turns pairwise
+        # at t = 1 and d >= 8 numpy's reduction over d turns pairwise; there
+        # the reference is the broadcast sum of a two-observation call
         rng = seeded_rng(18, dim)
         for t in (1, 3, 120):
             xs_t = np.ascontiguousarray(rng.uniform(-15, 15, size=(t, dim)).T)
             for shape in ((4, dim), (6, 4, dim), (1, dim), (3, 1, dim)):
                 points = rng.uniform(-30, 30, size=shape)
                 got = sq_dists(points, xs_t)
-                ref = self.broadcast_reference(points, xs_t)
+                if t == 1 and dim >= 8:
+                    ref = self.broadcast_reference(points, np.repeat(xs_t, 2, axis=1))[..., :1]
+                else:
+                    ref = self.broadcast_reference(points, xs_t)
                 assert got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes(), (t, shape)
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_a_column_is_the_one_observation_call(self, dim):
+        # an observation's distances do not depend on the others in the call
+        rng = seeded_rng(20, dim)
+        xs_t = rng.uniform(-15, 15, size=(dim, 5))
+        for shape in ((4, dim), (1, dim), (6, 4, dim)):
+            points = rng.uniform(-30, 30, size=shape)
+            every, nearest = sq_dists(points, xs_t), nearest_sq_dist(points, xs_t)
+            for s in range(xs_t.shape[1]):
+                one = np.ascontiguousarray(xs_t[:, s : s + 1])
+                assert sq_dists(points, one)[..., 0].tobytes() == every[..., s].tobytes(), (s, shape)
+                assert nearest_sq_dist(points, one)[..., 0].tobytes() == nearest[..., s].tobytes()
 
 
 class TestInstantaneousLoss:
