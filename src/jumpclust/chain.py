@@ -18,7 +18,8 @@ Candidates do not depend on the chain's history, so they are drawn ahead,
 per k, into an append-only pool of i.i.d. draws evaluated in batched chunks;
 each draw is used at most once, so the chain stays exact.  A refill stores
 each row's two densities as Python floats; the move loop indexes them by
-cursor and builds a state only when a move is accepted.
+cursor, keeps the current k and densities in one record that an accepted
+move overwrites, and builds the returned state once, after the last move.
 """
 
 from __future__ import annotations
@@ -125,6 +126,15 @@ class ChainTrace:
         )
 
 
+class _Current:
+    """The move loop's current state: its dimension and its two densities."""
+
+    __slots__ = ("k", "log_density", "log_proposal")
+
+    def __init__(self, k: int, log_density: float, log_proposal: float):
+        self.k, self.log_density, self.log_proposal = k, log_density, log_proposal
+
+
 class CandidateSupply:
     """Pre-evaluated independence candidates of one (target, proposals) pair.
 
@@ -161,10 +171,11 @@ class CandidateSupply:
         self.log_proposal[k] += student_log_density(points, params).tolist()
 
 
-def acceptance_log_prob(current: ChainState, log_density: float, log_proposal: float) -> float:
+def acceptance_log_prob(current, log_density: float, log_proposal: float) -> float:
     """log of the acceptance probability (always <= 0) of a move from
-    ``current`` to a candidate with the given log-target and proposal
-    log-density.
+    ``current`` (anything with ``log_density`` and ``log_proposal``, such as
+    a :class:`ChainState`) to a candidate with the given log-target and
+    proposal log-density.
 
     The dimension-proposal ratio is identically 1 under the symmetric
     boundary rule and is therefore omitted.
@@ -177,10 +188,15 @@ def acceptance_log_prob(current: ChainState, log_density: float, log_proposal: f
     return delta if delta < 0.0 else 0.0
 
 
-def step(state: ChainState, k: int, log_density: float, log_proposal: float, u: float):
+def step(state, k: int, log_density: float, log_proposal: float, u: float):
     """One Metropolis-Hastings move from ``state`` to a pre-evaluated candidate
     of dimension ``k``, accepted when the uniform ``u`` falls below alpha.
-    Returns (accepted, (k, alpha, accepted)); the caller builds the new state."""
+
+    ``state`` is anything with ``k``, ``log_density`` and ``log_proposal``: a
+    :class:`ChainState`, or the record :func:`run_chain` keeps, whose fields
+    hold the state before this move.  Returns (accepted, (k, alpha, accepted)),
+    the move's trace row without the k after it; the caller updates its state.
+    """
     alpha = math.exp(acceptance_log_prob(state, log_density, log_proposal))
     accepted = u < alpha
     return accepted, (k, alpha, accepted)
@@ -208,7 +224,8 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     v = rng.integers(0, _DRAW_RANGE, size=n_steps)
     offsets, uniforms = (v % 3 - 1).tolist(), ((v // 3) * 2.0**-50).tolist()
     lds, lps = supply.log_density, supply.log_proposal
-    state, k, rows = init, init.k, []
+    cur, k, last = _Current(init.k, init.log_density, init.log_proposal), init.k, None
+    kps, alphas, accepts, ks = [], [], [], []
     for offset, u in zip(offsets, uniforms):
         kp = k + offset if 1 <= k + offset <= p else k
         i = cursors[kp]
@@ -216,12 +233,20 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
         if i == len(lds[kp]):
             supply.refill(kp)
         ld, lp = lds[kp][i], lps[kp][i]
-        accepted, move = step(state, kp, ld, lp, u)
+        accepted, (_, alpha, _) = step(cur, kp, ld, lp, u)
         if accepted:
-            c, r = divmod(i, _POOL_ROWS)
-            state, k = ChainState(supply.chunks[kp][c][r], ld, lp), kp
-        rows.append((*move, k))
-    trace = ChainTrace(*map(np.array, zip(*rows)))  # rows are (k', alpha, accepted, k)
+            cur.k = k = kp
+            cur.log_density, cur.log_proposal = ld, lp
+            last = i
+        kps.append(kp)
+        alphas.append(alpha)
+        accepts.append(accepted)
+        ks.append(k)
+    trace = ChainTrace(np.array(kps), np.array(alphas), np.array(accepts), np.array(ks))
+    state = init
+    if last is not None:  # the state is the pool row of the last accepted move
+        c, r = divmod(last, _POOL_ROWS)
+        state = ChainState(supply.chunks[k][c][r], cur.log_density, cur.log_proposal)
     return replace(state, supply=supply, cursors=tuple(cursors)), trace
 
 

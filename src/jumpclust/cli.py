@@ -160,18 +160,26 @@ def _load_stream(args):
             )
             if not xcols:
                 raise CliError(f"no coordinate columns (x1, x2, ...) in {args.data}")
+            cells = [(c, float) for c in xcols] + [("k_true", int)] * ("k_true" in cols)
             xs, ks = [], []
             for row in reader:
                 if not row:
                     continue
+                where = f"{args.data}: line {reader.line_num}"
                 if len(row) < len(header):
-                    raise CliError(
-                        f"{args.data}: line {reader.line_num} has {len(row)} fields, "
-                        f"the header has {len(header)}"
-                    )
-                xs.append([float(row[cols[c]]) for c in xcols])
-                if "k_true" in cols:
-                    ks.append(int(row[cols["k_true"]]))
+                    raise CliError(f"{where} has {len(row)} fields, the header has {len(header)}")
+                values = []
+                for name, parse in cells:
+                    text = row[cols[name]]
+                    try:
+                        values.append(parse(text))
+                    except ValueError:
+                        kind = "an integer" if parse is int else "a number"
+                        raise CliError(f"{where}: {name} is {text!r}, not {kind}") from None
+                    if not math.isfinite(values[-1]):
+                        raise CliError(f"{where}: {name} is {text!r}, not a finite number")
+                xs.append(values[: len(xcols)])
+                ks += values[len(xcols) :]
             xs = np.asarray(xs).reshape(-1, len(xcols))  # (0, d) for a header-only file
             return xs, (np.asarray(ks, dtype=int) if ks else None)
     spec = SyntheticSpec(kind=args.synthetic, horizon=args.horizon)

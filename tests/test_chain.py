@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from jumpclust import chain
+from jumpclust import chain, cli
 from jumpclust.chain import (
     CandidateSupply,
     ChainState,
@@ -260,6 +261,43 @@ class TestStepAndChain:
         assert np.array_equal(final.points, points)
         assert (final.log_density, final.log_proposal) == (log_density, log_proposal)
 
+    def test_step_is_called_once_per_move_with_the_state_before_it(self, monkeypatch):
+        """What a tracer wrapping chain.step reads: one call per move, whose
+        first argument has the k before the move (read once the call has
+        returned) and whose result is the move's trace row."""
+        seen, real_step = [], chain.step
+
+        def recorder(state, *args):
+            out = real_step(state, *args)
+            seen.append((state.k, out))
+            return out
+
+        monkeypatch.setattr(chain, "step", recorder)
+        tgt = toy_target()
+        props = toy_proposals(tgt)
+        init = initial_state(1, tgt, props)
+        _, trace = run_chain(init, 500, tgt, props, seeded_rng(58, 0))
+        assert len(seen) == 500
+        before = [init.k, *trace.k_current[:-1].tolist()]
+        rows = zip(trace.k_proposed.tolist(), trace.alpha.tolist(), trace.accepted.tolist())
+        for (k_seen, (accepted, move)), k_before, row in zip(seen, before, rows):
+            assert k_seen == k_before
+            assert move == row and accepted == row[2]
+        assert 0 < trace.accepted.mean() < 1
+        assert (trace.k_proposed != np.array(before))[trace.accepted].any()  # cross-k accepts
+
+    def test_run_without_an_accepted_move_returns_the_initial_state(self, monkeypatch):
+        real_step = chain.step  # with u = 1 no move is accepted, since alpha <= 1
+        monkeypatch.setattr(chain, "step", lambda state, *args: real_step(state, *args[:3], 1.0))
+        tgt = toy_target()
+        props = toy_proposals(tgt)
+        init = initial_state(2, tgt, props)
+        final, trace = run_chain(init, 200, tgt, props, seeded_rng(59, 0))
+        assert not trace.accepted.any() and (trace.k_current == 2).all()
+        assert final.points is init.points
+        assert (final.log_density, final.log_proposal) == (init.log_density, init.log_proposal)
+        assert sum(final.cursors) == 200 and final.supply is not None
+
     def test_rejects_state_outside_dimension_range(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
@@ -340,6 +378,34 @@ def sine_drift_step(t=40, p=20):
         jitter_scale=cfg.radius,
     )
     return tgt, props
+
+
+class TestToyChainGolden:
+    """The bytes of a 2,000-move chain on the oracle-check toy target, where
+    about 39 % of moves are accepted (the stream goldens accept 5-7 %): the
+    four trace arrays with their dtypes and shapes, then the final state's
+    points and densities.  Recorded before the move loop kept its current
+    state in one overwritten record and built the returned state once."""
+
+    def test_toy_chain_bytes(self):
+        args = cli.build_parser().parse_args(["oracle-check", "--seed", "11"])
+        tgt = cli._toy_target(args)
+        props = StepProposals(
+            tgt.ctx.observations,
+            tau=proposal_scale(args.max_clusters, tgt.ctx.t + 1),
+            max_clusters=args.max_clusters,
+            rng_for_k=lambda k: seeded_rng(args.seed, (cli._KMEANS_STREAM, 0, k)),
+            jitter_scale=args.radius,
+        )
+        rng = seeded_rng(args.seed, (cli._CHAIN_STREAM, 0))
+        final, trace = run_chain(initial_state(1, tgt, props), 2000, tgt, props, rng)
+        digest = hashlib.sha1()
+        for a in (trace.k_proposed, trace.alpha, trace.accepted, trace.k_current, final.points):
+            digest.update(f"{a.dtype.str}{a.shape}".encode())
+            digest.update(a.tobytes())
+        digest.update(np.array([final.log_density, final.log_proposal]).tobytes())
+        assert trace.acceptance_rate() == 0.39
+        assert digest.hexdigest() == "a9ac07da227058463b0c3d4a2e89af31615781e5"
 
 
 def scalar_reference(state, n, tgt, props, seed, supply):

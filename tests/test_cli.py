@@ -264,6 +264,25 @@ class TestRun:
         for name in written:
             assert (skipped / name).read_bytes() == (plain / name).read_bytes()
 
+    @pytest.mark.parametrize("header, bad_row, message", [
+        ("t,x1,x2", "2,nan,0.2", "line 3: x1 is 'nan', not a finite number"),
+        ("t,x1,x2", "2,0.1,inf", "line 3: x2 is 'inf', not a finite number"),
+        ("t,x1,x2", "2,-inf,0.2", "line 3: x1 is '-inf', not a finite number"),
+        ("t,x1,x2", "2,abc,0.2", "line 3: x1 is 'abc', not a number"),
+        ("t,x1,x2,k_true", "2,0.1,0.2,x", "line 3: k_true is 'x', not an integer"),
+    ], ids=["nan", "inf", "-inf", "abc", "k_true"])
+    def test_bad_cell_is_refused_with_its_line_before_output(
+        self, small_config_path, tmp_path, capsys, header, bad_row, message
+    ):
+        good_row = "1,0.5,0.1" + ",1" * header.endswith("k_true")
+        data = tmp_path / "bad.csv"
+        data.write_text(f"{header}\n{good_row}\n{bad_row}\n{good_row}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", small_config_path, "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert f"bad.csv: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_kmeans_block_is_ignored_with_a_warning(self, small_config_path, tmp_path):
         old = tmp_path / "old.json"
         kmeans = {"restarts": 1, "max_iter": 2, "tol": 0.5}
