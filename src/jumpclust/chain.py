@@ -52,7 +52,8 @@ _POOL_ROWS = 32
 _BATCH_ELEMENTS = 2**15
 # one chain draw per iteration, uniform on [0, 3 * 2**50): its residue mod 3
 # gives the dimension offset (exactly 1/3 each of -1, 0, +1) and its
-# quotient, times 2**-50, the acceptance uniform
+# quotient, times 2**-50, the acceptance uniform; a run iterates over an int8
+# and a float64 array of them through memoryviews, which give Python numbers
 _DRAW_RANGE = 3 << 50
 
 
@@ -222,7 +223,8 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
         supply = CandidateSupply(tgt, proposals, int(rng.integers(2**63)))
         cursors = [0] * (p + 1)
     v = rng.integers(0, _DRAW_RANGE, size=n_steps)
-    offsets, uniforms = (v % 3 - 1).tolist(), ((v // 3) * 2.0**-50).tolist()
+    offsets = memoryview((v % 3 - 1).astype(np.int8))
+    uniforms = memoryview((v // 3) * 2.0**-50)
     lds, lps = supply.log_density, supply.log_proposal
     cur, k, last = _Current(init.k, init.log_density, init.log_proposal), init.k, None
     kps, alphas, accepts, ks = [], [], [], []

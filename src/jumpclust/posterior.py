@@ -38,8 +38,9 @@ __all__ = [
 ]
 
 MAX_GRID_CELLS = 10**7
-# cells evaluated per batch, which bounds the oracle's (cells, k, t) distance array
-_CELL_CHUNK = 2**16
+# cells evaluated per batch, which bounds the oracle's per-chunk temporaries:
+# the (k, cells, t) distance array and the chunk's index and point stacks
+_CELL_CHUNK = 2**12
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,10 @@ def grid_oracle(tgt: TargetDensity, resolution: int) -> np.ndarray:
     log-target and cell volume, so this is the Riemann sum over all b^k
     ordered tuples in C(b+k-1, k) evaluations.  The budget counts b^k.
 
+    Memory is one float64 per unordered tuple, C(b+k-1, k) per slice, plus
+    one chunk's temporaries: each slice's log-weights are written chunk by
+    chunk into one array, which is then exponentiated in place.
+
     resolution
         Number of cells per axis (d=1) or per polar axis (d=2: resolution
         radial x resolution angular cells per block).
@@ -195,15 +200,19 @@ def grid_oracle(tgt: TargetDensity, resolution: int) -> np.ndarray:
         raise GridTooLargeError(f"grid would need {total} cells (budget {MAX_GRID_CELLS})")
 
     log_block_vols = np.log(block_vols)
-    slice_logs = [
-        np.concatenate([
-            log_target(block_pts[idx], tgt) + log_block_vols[idx].sum(axis=1) + log_orders
-            for idx, log_orders in _unordered_cells(b, k)
-        ])
-        for k in range(1, spec.max_clusters + 1)
-    ]
+    slice_logs = []
+    for k in range(1, spec.max_clusters + 1):
+        v, lo = np.empty(math.comb(b + k - 1, k)), 0
+        for idx, log_orders in _unordered_cells(b, k):
+            hi = lo + idx.shape[0]
+            v[lo:hi] = log_target(block_pts[idx], tgt) + log_block_vols[idx].sum(axis=1) + log_orders
+            lo = hi
+        slice_logs.append(v)
     peak = max(float(v.max()) for v in slice_logs)
-    unnorm = np.array([float(np.exp(v - peak).sum()) for v in slice_logs])
+    unnorm = np.empty(len(slice_logs))
+    for i, v in enumerate(slice_logs):  # in place: exp(v - peak), summed
+        v -= peak
+        unnorm[i] = np.exp(v, out=v).sum()
     masses = unnorm / unnorm.sum()
     masses.flags.writeable = False
     return masses

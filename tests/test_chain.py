@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +512,39 @@ class TestBatchedRefill:
         assert max(rows for rows, _, _ in batch_rows) >= 8 * chain._POOL_ROWS
         d, t = tgt.prior.dim, tgt.ctx.t
         assert all(rows * k * d * t <= chain._BATCH_ELEMENTS for rows, k, _ in batch_rows)
+
+
+class TestChainMemory:
+    """A run's move plan is an int8 and a float64 array, read through
+    memoryviews, not two lists of Python numbers.  numpy's allocations are
+    traced, so the peak repeats."""
+
+    def test_traced_peak_per_move(self):
+        args = cli.build_parser().parse_args(["oracle-check", "--dim", "1"])
+        tgt = cli._toy_target(args)
+        props = StepProposals(
+            tgt.ctx.observations,
+            tau=proposal_scale(args.max_clusters, tgt.ctx.t + 1),
+            max_clusters=args.max_clusters,
+            rng_for_k=lambda k: seeded_rng(args.seed, (cli._KMEANS_STREAM, 0, k)),
+            jitter_scale=args.radius,
+        )
+        state0 = initial_state(1, tgt, props)
+        rng = seeded_rng(args.seed, (cli._CHAIN_STREAM, 0))
+        n = 20_000
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, trace = run_chain(state0, n, tgt, props, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(trace) == n
+        assert peak / n < 220
 
 
 class TestContinuation:

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from jumpclust import posterior
+from jumpclust import cli, posterior
 from jumpclust.core import Centers, seeded_rng
 from jumpclust.posterior import (
     _CELL_CHUNK,
@@ -219,7 +220,7 @@ def searchsorted_cells(b, k, chunk):
 
 
 class TestUnorderedCells:
-    @pytest.mark.parametrize("chunk", [_CELL_CHUNK, 7, 1000])
+    @pytest.mark.parametrize("chunk", [2**16, _CELL_CHUNK, 7, 1000])
     def test_same_chunks_as_the_searchsorted_builder(self, chunk, monkeypatch):
         monkeypatch.setattr(posterior, "_CELL_CHUNK", chunk)
         cases = [(b, k) for b in range(1, 10) for k in (1, 2, 3)]
@@ -257,3 +258,78 @@ class TestUnorderedCells:
             sizes = [len(idx) for idx, _ in _unordered_cells(b, k)]
             assert sum(sizes) == math.comb(b + k - 1, k)
             assert max(sizes) <= _CELL_CHUNK
+
+
+def concatenated_oracle(tgt, resolution):
+    """grid_oracle as it was before it wrote each slice into one preallocated
+    array: the chunks' log-weights in a list, concatenated, then normalised
+    through an exp copy.  Chunks of 2^16 cells, the size it used."""
+    pts, vols = _block_cells(tgt.prior.dim, tgt.prior.radius, resolution)
+    log_vols = np.log(vols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posterior, "_CELL_CHUNK", 2**16)
+        slice_logs = [
+            np.concatenate([
+                log_target(pts[idx], tgt) + log_vols[idx].sum(axis=1) + log_orders
+                for idx, log_orders in _unordered_cells(pts.shape[0], k)
+            ])
+            for k in range(1, tgt.prior.max_clusters + 1)
+        ]
+    peak = max(float(v.max()) for v in slice_logs)
+    unnorm = np.array([float(np.exp(v - peak).sum()) for v in slice_logs])
+    return unnorm / unnorm.sum()
+
+
+class TestOracleBuffer:
+    """Each slice's log-weights are written chunk by chunk into one array and
+    normalised in place; the masses have the bytes of the concatenated
+    reference whatever the chunk size."""
+
+    CASES = {
+        "d1-p3": (toy_target(), 20),
+        "d2-p2": (toy_target(dim=2, p=2), 8),
+        "prior-only": (TargetDensity.prior_only(toy_target().prior), 20),
+        "label-weighted": (
+            TargetDensity(0.87, toy_context(), toy_target().prior, label_weighted=True),
+            20,
+        ),
+    }
+
+    @pytest.mark.parametrize("chunk", [7, 1000, _CELL_CHUNK])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bytes_as_the_concatenated_slices(self, case, chunk, monkeypatch):
+        tgt, resolution = self.CASES[case]
+        expected = concatenated_oracle(tgt, resolution).tobytes()
+        monkeypatch.setattr(posterior, "_CELL_CHUNK", chunk)
+        assert grid_oracle(tgt, resolution).tobytes() == expected
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes traced by tracemalloc while fn() runs, above the start."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestOracleMemory:
+    """The oracle holds one float64 per unordered tuple plus one chunk's
+    temporaries.  numpy's allocations are traced, so the peaks repeat."""
+
+    @pytest.mark.parametrize("flags, limit_mib", [
+        (["--dim", "1", "--resolution", "150"], 8),
+        (["--dim", "2", "--max-clusters", "2", "--resolution", "30"], 6),
+    ], ids=["d1-r150", "d2-p2-r30"])
+    def test_traced_peak(self, flags, limit_mib):
+        args = cli.build_parser().parse_args(["oracle-check", *flags])
+        tgt = cli._toy_target(args)
+        grid_oracle(tgt, 5)  # first-call set-up outside the measurement
+        peak = traced_peak_bytes(lambda: grid_oracle(tgt, args.resolution))
+        assert peak < limit_mib * 2**20
