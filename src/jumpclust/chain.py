@@ -16,10 +16,13 @@ formula.
 
 Candidates do not depend on the chain's history, so they are drawn ahead,
 per k, into an append-only pool of i.i.d. draws evaluated in batched chunks;
-each draw is used at most once, so the chain stays exact.  A refill stores
-each row's two densities as Python floats; the move loop indexes them by
-cursor, keeps the current k and densities in one record that an accepted
-move overwrites, and builds the returned state once, after the last move.
+each draw is used at most once, so the chain stays exact.  A refill draws
+its chunks with one ``student_sample`` call and stores each row's two
+densities as Python floats.  The move loop indexes them by cursor, makes
+one :func:`step` call per move (alpha by the expression of
+:func:`acceptance_log_prob`), keeps the current k and densities in one
+record that an accepted move overwrites, and after the last move builds
+the returned state and the trace's k after each move.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .core import Centers, clip_to_ball, seeded_rng
 from .posterior import TargetDensity, log_target
-from .proposals import StepProposals, student_log_density, student_sample
+from .proposals import BLOCK_ROWS, StepProposals, student_log_density, student_sample
 
 __all__ = [
     "ChainState",
@@ -44,8 +47,9 @@ __all__ = [
     "initial_state",
 ]
 
-# rows per pool chunk; each chunk is drawn by its own student_sample call
-_POOL_ROWS = 32
+# rows per pool chunk: one draw block of student_sample, so a chunk's rows do
+# not depend on how many chunks a refill draws together
+_POOL_ROWS = BLOCK_ROWS
 # a refill evaluates as many chunks as the pool holds (at least one) in one
 # batched call, capped so that rows * k * d * t, which bounds the score's
 # (rows, k, t) distance array, keeps to this many elements
@@ -144,6 +148,8 @@ class CandidateSupply:
     ``log_density[k]`` and ``log_proposal[k]`` are lists of Python floats
     whose entry i belongs to pool row i.  Pool k has its own generator,
     seeded from (seed, k), so its rows do not depend on who asks for them.
+    A refill draws all its chunks with one ``student_sample`` call, whose
+    draw blocks are the chunks, so each chunk equals one drawn alone.
     """
 
     def __init__(self, tgt: TargetDensity, proposals: StepProposals, seed: int):
@@ -155,15 +161,15 @@ class CandidateSupply:
 
     def refill(self, k: int) -> None:
         """Append pool k's next chunks, as many as it holds (at least one, at most
-        ``_BATCH_ELEMENTS`` allows), each drawn by its own ``student_sample``
-        call and all evaluated in one batched call of each density."""
+        ``_BATCH_ELEMENTS`` allows), drawn by one ``student_sample`` call and
+        evaluated in one batched call of each density."""
         chunks = self.chunks[k]
         if not chunks:
             self._rngs[k] = seeded_rng(self.seed, k)
         params = self.proposals.params(k)
         chunk_elements = _POOL_ROWS * k * self.tgt.prior.dim * max(self.tgt.ctx.t, 1)
         n = max(1, min(len(chunks), _BATCH_ELEMENTS // chunk_elements))
-        points = np.concatenate([student_sample(params, _POOL_ROWS, self._rngs[k]) for _ in range(n)])
+        points = student_sample(params, n * _POOL_ROWS, self._rngs[k])
         if not np.isfinite(points).all():
             raise ValueError("candidate centers must have finite coordinates")
         points.flags.writeable = False
@@ -179,7 +185,8 @@ def acceptance_log_prob(current, log_density: float, log_proposal: float) -> flo
     proposal log-density.
 
     The dimension-proposal ratio is identically 1 under the symmetric
-    boundary rule and is therefore omitted.
+    boundary rule and is therefore omitted.  This is the reference rule that
+    :func:`step` computes inline.
     """
     if not math.isfinite(current.log_density):
         raise ValueError("current chain state lies outside the target support")
@@ -195,10 +202,15 @@ def step(state, k: int, log_density: float, log_proposal: float, u: float):
 
     ``state`` is anything with ``k``, ``log_density`` and ``log_proposal``: a
     :class:`ChainState`, or the record :func:`run_chain` keeps, whose fields
-    hold the state before this move.  Returns (accepted, (k, alpha, accepted)),
-    the move's trace row without the k after it; the caller updates its state.
+    hold the state before this move.  It must lie in the target support,
+    which :func:`run_chain` ensures and this does not check; then, for a
+    finite ``log_proposal``, alpha is exp(:func:`acceptance_log_prob`) bit
+    for bit (a ``-inf`` candidate gives 0.0).  Returns (accepted, (k, alpha,
+    accepted)), the move's trace row without the k after it; the caller
+    updates its state.
     """
-    alpha = math.exp(acceptance_log_prob(state, log_density, log_proposal))
+    delta = log_density - state.log_density + state.log_proposal - log_proposal
+    alpha = math.exp(delta) if delta < 0.0 else 1.0
     accepted = u < alpha
     return accepted, (k, alpha, accepted)
 
@@ -226,16 +238,19 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     offsets = memoryview((v % 3 - 1).astype(np.int8))
     uniforms = memoryview((v // 3) * 2.0**-50)
     lds, lps = supply.log_density, supply.log_proposal
+    move = step  # the module global at call time, so a patched step is the one called
     cur, k, last = _Current(init.k, init.log_density, init.log_proposal), init.k, None
-    kps, alphas, accepts, ks = [], [], [], []
+    kps, alphas, accepts = [], [], []
     for offset, u in zip(offsets, uniforms):
         kp = k + offset if 1 <= k + offset <= p else k
         i = cursors[kp]
         cursors[kp] = i + 1
-        if i == len(lds[kp]):
+        try:
+            ld, lp = lds[kp][i], lps[kp][i]
+        except IndexError:  # the cursor reached the pool's end
             supply.refill(kp)
-        ld, lp = lds[kp][i], lps[kp][i]
-        accepted, (_, alpha, _) = step(cur, kp, ld, lp, u)
+            ld, lp = lds[kp][i], lps[kp][i]
+        accepted, (_, alpha, _) = move(cur, kp, ld, lp, u)
         if accepted:
             cur.k = k = kp
             cur.log_density, cur.log_proposal = ld, lp
@@ -243,8 +258,11 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
         kps.append(kp)
         alphas.append(alpha)
         accepts.append(accepted)
-        ks.append(k)
-    trace = ChainTrace(np.array(kps), np.array(alphas), np.array(accepts), np.array(ks))
+    k_proposed, accepted = np.array(kps), np.array(accepts)
+    # the k after each move: the proposed k of the last accepted move so far
+    taken = np.maximum.accumulate(np.where(accepted, np.arange(1, n_steps + 1), 0))
+    k_current = np.concatenate(([init.k], k_proposed))[taken]
+    trace = ChainTrace(k_proposed, np.array(alphas), accepted, k_current)
     state = init
     if last is not None:  # the state is the pool row of the last accepted move
         c, r = divmod(last, _POOL_ROWS)

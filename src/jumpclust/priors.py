@@ -96,12 +96,16 @@ def _outside_support(sq_norms: np.ndarray, radius: float) -> np.ndarray:
     return sq_norms > (2.0 * radius) * (2.0 * radius)
 
 
-def sample_student_blocks(shape: tuple, dim: int, tau: float, loc, rng) -> np.ndarray:
-    """Draw a ``shape`` array of independent blocks of the 3-dof heavy-tailed
-    family, scale tau: the result has shape ``shape + (dim,)``."""
-    g = rng.standard_normal((*shape, dim))
-    w = rng.chisquare(3, size=(*shape, 1))
-    return np.asarray(loc, dtype=float) + math.sqrt(2.0) * tau * g / np.sqrt(w / 3.0)
+def student_blocks(g: np.ndarray, w: np.ndarray, tau: float, loc) -> np.ndarray:
+    """Blocks of the 3-dof heavy-tailed family, scale tau, around ``loc``:
+    loc + sqrt(2) tau g / sqrt(w / 3), float for float, from standard normal
+    draws ``g`` (d per block) and chi-square(3) draws ``w`` (one per block,
+    on a last axis of length 1).  Made in place: overwrites both, returns g."""
+    w /= 3.0
+    g *= math.sqrt(2.0) * tau
+    g /= np.sqrt(w, out=w)
+    g += loc
+    return g
 
 
 def estimate_truncation_prob(dim: int, radius: float, scale: float) -> float:
@@ -233,7 +237,8 @@ def sample_prior(spec: PriorSpec, rng) -> Centers:
     rows = np.empty((k, spec.dim))
     filled = 0
     while filled < k:
-        cand = sample_student_blocks((k - filled,), spec.dim, spec.scale, 0.0, rng)
+        g = rng.standard_normal((k - filled, spec.dim))
+        cand = student_blocks(g, rng.chisquare(3, size=(k - filled, 1)), spec.scale, 0.0)
         keep = ~_outside_support(np.einsum("ij,ij->i", cand, cand), spec.radius)
         m = int(keep.sum())
         if m:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .core import KMeansConfig
-from .priors import sample_student_blocks, student_block_log_norm, student_log_shape
+from .priors import student_block_log_norm, student_blocks, student_log_shape
 from .scoring import nearest_sq_dist, sq_dists
 
 __all__ = [
@@ -75,9 +75,25 @@ def student_log_density(points: np.ndarray, params: ProposalParams) -> np.ndarra
     return log_norm + student_log_shape(sq_dist, params.dim, params.tau)
 
 
+# rows of one draw block of student_sample
+BLOCK_ROWS = 32
+
+
 def student_sample(params: ProposalParams, n: int, rng) -> np.ndarray:
-    """n independent draws of all k blocks of the proposal, as a (n, k, d) stack."""
-    return sample_student_blocks((n, params.k), params.dim, params.tau, params.locations, rng)
+    """n independent draws of all k blocks of the proposal, as a (n, k, d) stack.
+
+    Rows are drawn in consecutive blocks of ``BLOCK_ROWS``, each block's
+    normals and then its chi-square(3) variates (2 * standard_gamma(1.5), as
+    numpy's Generator defines them), so a call equals its blocks drawn by
+    their own calls from the same generator: prefixes do not depend on n.
+    """
+    k, d = params.locations.shape
+    g, w = np.empty((n, k, d)), np.empty((n, k, 1))
+    for i in range(0, n, BLOCK_ROWS):
+        rng.standard_normal(out=g[i : i + BLOCK_ROWS])
+        rng.standard_gamma(1.5, out=w[i : i + BLOCK_ROWS])
+    w *= 2.0
+    return student_blocks(g, w, params.tau, params.locations)
 
 
 def proposal_scale(p: int, t: int) -> float:

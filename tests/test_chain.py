@@ -175,6 +175,37 @@ class TestAcceptance:
         assert la == pytest.approx(min(0.0, dens_ratio + prop_ratio), abs=1e-12)
 
 
+class TestStepAgainstReferenceRule:
+    """step computes alpha inline; it must equal exp(acceptance_log_prob) bit
+    for bit, compared with ==, with accepted == (u < alpha)."""
+
+    @staticmethod
+    def check(state, ld, lp, u, k=2):
+        accepted, move = step(state, k, ld, lp, u)
+        alpha = math.exp(acceptance_log_prob(state, ld, lp))
+        assert move == (k, alpha, accepted)
+        assert accepted == (u < alpha)
+        return alpha
+
+    def test_random_finite_states_and_candidates(self):
+        rng = seeded_rng(69, 0)
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            for _ in range(2_000):
+                sld, slp, ld, lp = scale * rng.standard_normal(4)
+                state = ChainState(np.zeros((2, 1)), float(sld), float(slp))
+                self.check(state, float(ld), float(lp), float(rng.random()))
+
+    def test_edge_deltas(self):
+        state = ChainState(np.zeros((1, 1)), -3.25, 1.5)
+        ld, lp = state.log_density, state.log_proposal
+        assert self.check(state, -math.inf, lp, 0.0) == 0.0  # outside the support
+        assert self.check(state, -math.inf, -40.0, 0.0) == 0.0
+        assert self.check(state, ld, lp, 0.999) == 1.0  # delta == 0
+        assert self.check(state, ld + 2.0, lp, 0.999) == 1.0  # delta > 0
+        assert self.check(state, ld - 800.0, lp, 0.0) == 0.0  # underflows below -745
+        assert self.check(state, ld - 700.0, lp, 0.0) > 0.0
+
+
 def pool_candidates(supply, k, n):
     """The first n candidates of pool k, as the chain takes them: (points,
     log_density, log_proposal) rows."""
@@ -298,6 +329,47 @@ class TestStepAndChain:
         assert final.points is init.points
         assert (final.log_density, final.log_proposal) == (init.log_density, init.log_proposal)
         assert sum(final.cursors) == 200 and final.supply is not None
+
+    @pytest.mark.parametrize("accept_at", [{0}, {199}, set(), {0, 57, 58, 120}])
+    def test_k_after_each_move_from_the_accepted_moves(self, accept_at, monkeypatch):
+        """The trace's k after each move is the proposed k of the last accepted
+        move so far, and the initial k before the first: the moves given
+        (by index) are accepted with u = -1, every other is rejected with u = 1."""
+        real_step, seen = chain.step, []
+
+        def forced(state, k, log_density, log_proposal, u):
+            u = -1.0 if len(seen) in accept_at else 1.0
+            seen.append(state.k)
+            return real_step(state, k, log_density, log_proposal, u)
+
+        monkeypatch.setattr(chain, "step", forced)
+        tgt = toy_target()
+        props = toy_proposals(tgt)
+        init = initial_state(2, tgt, props)
+        final, trace = run_chain(init, 200, tgt, props, seeded_rng(60, 0))
+        assert set(np.flatnonzero(trace.accepted).tolist()) == accept_at
+        expected, k = [], init.k
+        for kp, accepted in zip(trace.k_proposed.tolist(), trace.accepted.tolist()):
+            k = kp if accepted else k
+            expected.append(k)
+        assert trace.k_current.dtype == trace.k_proposed.dtype
+        assert trace.k_current.tolist() == expected
+        assert seen == [init.k, *expected[:-1]]  # the k each step call was made from
+        assert final.k == expected[-1]
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_k_after_each_move_in_blocks_equals_one_run(self, block):
+        tgt = toy_target()
+        props = toy_proposals(tgt)
+        state0 = initial_state(1, tgt, props)
+        n = 2_500
+        whole, trace = run_chain(state0, n, tgt, props, seeded_rng(61, 0))
+        part, traces = run_in_blocks(state0, block, n, tgt, props, seeded_rng(61, 0))
+        assert part == whole
+        got = np.concatenate([t.k_current for t in traces])
+        assert got.dtype == trace.k_current.dtype
+        np.testing.assert_array_equal(got, trace.k_current)
+        assert 0 < trace.accepted.mean() < 1
 
     def test_rejects_state_outside_dimension_range(self):
         tgt = toy_target()
@@ -470,10 +542,10 @@ class TestPooledChainAgainstScalarReference:
 
 
 class TestBatchedRefill:
-    """A refill draws each chunk by its own student_sample call and evaluates
-    the batch in one call: every stored chunk, and its rows of the pool's
-    two density lists, equal a chunk drawn and evaluated alone from an
-    equal-seeded generator, compared with ==."""
+    """A refill draws its chunks with one student_sample call, whose draw
+    blocks are the chunks, and evaluates the batch in one call: every stored
+    chunk, and its rows of the pool's two density lists, equal a chunk drawn
+    and evaluated alone from an equal-seeded generator, compared with ==."""
 
     @pytest.mark.parametrize("case", ["toy", "sine_drift"])
     def test_batched_chunks_equal_chunks_evaluated_alone(self, case, monkeypatch):
@@ -512,6 +584,24 @@ class TestBatchedRefill:
         assert max(rows for rows, _, _ in batch_rows) >= 8 * chain._POOL_ROWS
         d, t = tgt.prior.dim, tgt.ctx.t
         assert all(rows * k * d * t <= chain._BATCH_ELEMENTS for rows, k, _ in batch_rows)
+
+
+    def test_one_student_sample_call_per_refill(self, monkeypatch):
+        calls, real_sample = [], chain.student_sample
+
+        def spy(params, n, rng):
+            calls.append(n)
+            return real_sample(params, n, rng)
+
+        monkeypatch.setattr(chain, "student_sample", spy)
+        tgt = toy_target()
+        supply = CandidateSupply(tgt, toy_proposals(tgt), 68)
+        for refills in range(1, 6):  # batches of 1, 1, 2, 4 and 8 chunks
+            before = len(supply.chunks[2])
+            supply.refill(2)
+            assert len(calls) == refills
+            assert calls[-1] == (len(supply.chunks[2]) - before) * chain._POOL_ROWS
+        assert calls[-1] == 8 * chain._POOL_ROWS
 
 
 class TestChainMemory:

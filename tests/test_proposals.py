@@ -83,6 +83,45 @@ class TestStudentDensity:
             assert values.tolist() == [student_log_density(row[None], params)[0] for row in stack]
 
 
+class TestBlockedDraw:
+    """student_sample draws its rows in consecutive BLOCK_ROWS blocks, so a
+    call equals its blocks drawn by their own calls from an equal-seeded
+    generator, compared with ==."""
+
+    @pytest.mark.parametrize("k, dim", [(1, 1), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_call_equals_its_blocks(self, k, dim, m):
+        params = ProposalParams(seeded_rng(29, k).standard_normal((k, dim)), tau=0.4)
+        size = proposals.BLOCK_ROWS
+        whole = student_sample(params, m * size, seeded_rng(29, 1))
+        rng = seeded_rng(29, 1)
+        parts = np.concatenate([student_sample(params, size, rng) for _ in range(m)])
+        assert whole.shape == parts.shape == (m * size, k, dim)
+        assert whole.tobytes() == parts.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 31, 33, 75])
+    def test_short_last_block(self, n):
+        params = ProposalParams(np.array([[0.5, -1.0], [2.0, 0.0], [-1.0, 1.0]]), tau=0.3)
+        size = proposals.BLOCK_ROWS
+        whole = student_sample(params, n, seeded_rng(30, 0))
+        rng = seeded_rng(30, 0)
+        blocks = [size] * (n // size) + ([n % size] if n % size else [])
+        parts = np.concatenate([student_sample(params, rows, rng) for rows in blocks])
+        assert whole.shape == (n, 3, 2)
+        assert whole.tobytes() == parts.tobytes()
+
+    def test_block_draws_as_the_chi_square_sampler(self):
+        """One block's draws are the normals, then chisquare(3) variates, as
+        numpy's Generator draws them."""
+        params = ProposalParams(np.array([[0.25, -0.5], [1.0, 2.0]]), tau=0.7)
+        got = student_sample(params, 20, seeded_rng(31, 0))
+        rng = seeded_rng(31, 0)
+        g = rng.standard_normal((20, 2, 2))
+        w = rng.chisquare(3, size=(20, 2, 1))
+        expected = params.locations + math.sqrt(2.0) * 0.7 * g / np.sqrt(w / 3.0)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestStudentSampler:
     def test_empirical_mean(self):
         params = ProposalParams(np.zeros((1, 1)), tau=1.0)
