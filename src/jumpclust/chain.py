@@ -8,21 +8,15 @@ center proposal is an independence draw from the step's k-block family; the
 dimension-matching map is a plain coordinate swap with unit Jacobian, so
 the acceptance probability reduces to
 
-    log alpha = min(0, [log target(c') - log target(c)]
-                     + [log q_prop(c | k) - log q_prop(c' | k')])
+    log alpha = min(0, w(c') - w(c)),  w(c) = log target(c) - log q_prop(c | k),
 
-computed entirely in log space.  Within-model moves (k'=k) use the same
-formula.
+a difference of log importance weights (Liu 1996), for k' = k too.
 
 Candidates do not depend on the chain's history, so they are drawn ahead,
-per k, into an append-only pool of i.i.d. draws evaluated in batched chunks;
-each draw is used at most once, so the chain stays exact.  A refill draws
-its chunks with one ``student_sample`` call and stores each row's two
-densities as Python floats.  The move loop indexes them by cursor, makes
-one :func:`step` call per move (alpha by the expression of
-:func:`acceptance_log_prob`), keeps the current k and densities in one
-record that an accepted move overwrites, and after the last move builds
-the returned state and the trace's k after each move.
+per k, into an append-only pool of i.i.d. draws that keeps each row's weight
+(:class:`CandidateSupply`); each draw is used at most once, so the chain
+stays exact.  The move loop makes one :func:`step` call per move and keeps
+the current k and weight in one record that an accepted move overwrites.
 """
 
 from __future__ import annotations
@@ -63,13 +57,13 @@ _DRAW_RANGE = 3 << 50
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ChainState:
-    """A center vector with its log-target and its proposal log-density.
+    """A center vector with its log-target, its proposal log-density and
+    their difference ``log_weight``, its log importance weight.
 
-    ``points`` is the read-only (k, d) array of coordinates; ``log_proposal``
-    is the density of the step's k-block proposal at ``points``.  A state
-    returned by :func:`run_chain` also carries the run's candidate ``supply``
-    and, per k, the ``cursors`` index of the next unused candidate, which a
-    run continued from it takes up; neither enters ==.
+    ``points`` is the read-only (k, d) array of coordinates.  A state returned
+    by :func:`run_chain` also carries the run's candidate ``supply`` and, per
+    k, the ``cursors`` index of the next unused candidate, which a run
+    continued from it takes up; neither enters ==.
     """
 
     points: np.ndarray
@@ -86,6 +80,10 @@ class ChainState:
     def centers(self) -> Centers:
         """The coordinates as a validated :class:`Centers` (a fresh copy per read)."""
         return Centers(self.points)
+
+    @property
+    def log_weight(self) -> float:
+        return self.log_density - self.log_proposal
 
     def __eq__(self, other) -> bool:
         """Value equality, so that replayed chains compare equal."""
@@ -132,12 +130,12 @@ class ChainTrace:
 
 
 class _Current:
-    """The move loop's current state: its dimension and its two densities."""
+    """The move loop's current state: its dimension and its log importance weight."""
 
-    __slots__ = ("k", "log_density", "log_proposal")
+    __slots__ = ("k", "log_weight")
 
-    def __init__(self, k: int, log_density: float, log_proposal: float):
-        self.k, self.log_density, self.log_proposal = k, log_density, log_proposal
+    def __init__(self, k: int, log_weight: float):
+        self.k, self.log_weight = k, log_weight
 
 
 class CandidateSupply:
@@ -145,8 +143,8 @@ class CandidateSupply:
 
     Pool k is a table of k-block proposal draws: ``chunks[k]`` is the
     append-only list of read-only (``_POOL_ROWS``, k, d) point stacks, and
-    ``log_density[k]`` and ``log_proposal[k]`` are lists of Python floats
-    whose entry i belongs to pool row i.  Pool k has its own generator,
+    ``log_weight[k]`` is a list of Python floats whose entry i is row i's
+    log-target minus its proposal log-density.  Pool k has its own generator,
     seeded from (seed, k), so its rows do not depend on who asks for them.
     A refill draws all its chunks with one ``student_sample`` call, whose
     draw blocks are the chunks, so each chunk equals one drawn alone.
@@ -155,14 +153,13 @@ class CandidateSupply:
     def __init__(self, tgt: TargetDensity, proposals: StepProposals, seed: int):
         self.tgt, self.proposals, self.seed = tgt, proposals, seed
         pools = range(proposals.max_clusters + 1)
-        self.chunks = [[] for _ in pools]
-        self.log_density, self.log_proposal = [[] for _ in pools], [[] for _ in pools]
+        self.chunks, self.log_weight = [[] for _ in pools], [[] for _ in pools]
         self._rngs = {}
 
     def refill(self, k: int) -> None:
         """Append pool k's next chunks, as many as it holds (at least one, at most
         ``_BATCH_ELEMENTS`` allows), drawn by one ``student_sample`` call and
-        evaluated in one batched call of each density."""
+        evaluated in one batched call of each density, whose difference is stored."""
         chunks = self.chunks[k]
         if not chunks:
             self._rngs[k] = seeded_rng(self.seed, k)
@@ -174,42 +171,43 @@ class CandidateSupply:
             raise ValueError("candidate centers must have finite coordinates")
         points.flags.writeable = False
         chunks += (points[i : i + _POOL_ROWS] for i in range(0, len(points), _POOL_ROWS))
-        self.log_density[k] += log_target(points, self.tgt).tolist()
-        self.log_proposal[k] += student_log_density(points, params).tolist()
+        log_weight = log_target(points, self.tgt) - student_log_density(points, params)
+        self.log_weight[k] += log_weight.tolist()
 
 
 def acceptance_log_prob(current, log_density: float, log_proposal: float) -> float:
     """log of the acceptance probability (always <= 0) of a move from
-    ``current`` (anything with ``log_density`` and ``log_proposal``, such as
-    a :class:`ChainState`) to a candidate with the given log-target and
-    proposal log-density.
+    ``current`` (anything with ``log_density`` and ``log_weight``, such as a
+    :class:`ChainState`) to a candidate with the given log-target and proposal
+    log-density: ``(log_density - log_proposal) - current.log_weight``.
 
     The dimension-proposal ratio is identically 1 under the symmetric
     boundary rule and is therefore omitted.  This is the reference rule that
-    :func:`step` computes inline.
+    :func:`step` computes inline, in the same float order.
     """
     if not math.isfinite(current.log_density):
         raise ValueError("current chain state lies outside the target support")
     if log_density == -math.inf:
         return -math.inf
-    delta = log_density - current.log_density + current.log_proposal - log_proposal
+    delta = (log_density - log_proposal) - current.log_weight
     return delta if delta < 0.0 else 0.0
 
 
-def step(state, k: int, log_density: float, log_proposal: float, u: float):
-    """One Metropolis-Hastings move from ``state`` to a pre-evaluated candidate
-    of dimension ``k``, accepted when the uniform ``u`` falls below alpha.
+def step(state, k: int, log_weight: float, u: float):
+    """One Metropolis-Hastings move from ``state`` to a candidate of dimension
+    ``k`` and log importance weight ``log_weight`` (log-target minus proposal
+    log-density), accepted when the uniform ``u`` falls below alpha.
 
-    ``state`` is anything with ``k``, ``log_density`` and ``log_proposal``: a
-    :class:`ChainState`, or the record :func:`run_chain` keeps, whose fields
-    hold the state before this move.  It must lie in the target support,
-    which :func:`run_chain` ensures and this does not check; then, for a
-    finite ``log_proposal``, alpha is exp(:func:`acceptance_log_prob`) bit
-    for bit (a ``-inf`` candidate gives 0.0).  Returns (accepted, (k, alpha,
-    accepted)), the move's trace row without the k after it; the caller
-    updates its state.
+    ``state`` is anything with ``k`` and ``log_weight``: a :class:`ChainState`,
+    or the record :func:`run_chain` keeps, holding the state before this move.
+    It must lie in the target support, which :func:`run_chain` ensures and
+    this does not check; then, for a finite proposal log-density, alpha is
+    exp(:func:`acceptance_log_prob`) bit for bit (a ``-inf`` log-target gives
+    0.0; with both densities ``-inf`` the weight is NaN and alpha reads 1.0).
+    Returns (accepted, (k, alpha, accepted)), the move's trace row without
+    the k after it; the caller updates its state.
     """
-    delta = log_density - state.log_density + state.log_proposal - log_proposal
+    delta = log_weight - state.log_weight
     alpha = math.exp(delta) if delta < 0.0 else 1.0
     accepted = u < alpha
     return accepted, (k, alpha, accepted)
@@ -237,23 +235,23 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     v = rng.integers(0, _DRAW_RANGE, size=n_steps)
     offsets = memoryview((v % 3 - 1).astype(np.int8))
     uniforms = memoryview((v // 3) * 2.0**-50)
-    lds, lps = supply.log_density, supply.log_proposal
+    weights = supply.log_weight
     move = step  # the module global at call time, so a patched step is the one called
-    cur, k, last = _Current(init.k, init.log_density, init.log_proposal), init.k, None
+    cur, k, last = _Current(init.k, init.log_weight), init.k, None
     kps, alphas, accepts = [], [], []
     for offset, u in zip(offsets, uniforms):
         kp = k + offset if 1 <= k + offset <= p else k
         i = cursors[kp]
         cursors[kp] = i + 1
         try:
-            ld, lp = lds[kp][i], lps[kp][i]
+            w = weights[kp][i]
         except IndexError:  # the cursor reached the pool's end
             supply.refill(kp)
-            ld, lp = lds[kp][i], lps[kp][i]
-        accepted, (_, alpha, _) = move(cur, kp, ld, lp, u)
+            w = weights[kp][i]
+        accepted, (_, alpha, _) = move(cur, kp, w, u)
         if accepted:
             cur.k = k = kp
-            cur.log_density, cur.log_proposal = ld, lp
+            cur.log_weight = w
             last = i
         kps.append(kp)
         alphas.append(alpha)
@@ -264,9 +262,11 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     k_current = np.concatenate(([init.k], k_proposed))[taken]
     trace = ChainTrace(k_proposed, np.array(alphas), accepted, k_current)
     state = init
-    if last is not None:  # the state is the pool row of the last accepted move
+    if last is not None:  # the last accepted pool row; alone, its densities equal the batch's
         c, r = divmod(last, _POOL_ROWS)
-        state = ChainState(supply.chunks[k][c][r], cur.log_density, cur.log_proposal)
+        row = supply.chunks[k][c][r : r + 1]
+        ld, lp = log_target(row, tgt)[0], student_log_density(row, proposals.params(k))[0]
+        state = ChainState(row[0], float(ld), float(lp))
     return replace(state, supply=supply, cursors=tuple(cursors)), trace
 
 
