@@ -44,9 +44,10 @@ __all__ = [
 # rows per pool chunk: one draw block of student_sample, so a chunk's rows do
 # not depend on how many chunks a refill draws together
 _POOL_ROWS = BLOCK_ROWS
-# a refill evaluates as many chunks as the pool holds (at least one) in one
-# batched call, capped so that rows * k * d * t, which bounds the score's
-# (rows, k, t) distance array, keeps to this many elements
+# a refill evaluates at most as many whole chunks' rows as keep rows * k * d * t,
+# which bounds the score's (rows, k, t) distance array, to this many elements,
+# but at least one chunk's: so a batch keeps to max(2**15, _POOL_ROWS * k * d * t)
+# elements, and one chunk exceeds the bound at d = 2 whenever k * t > 512
 _BATCH_ELEMENTS = 2**15
 # one chain draw per iteration, uniform on [0, 3 * 2**50): its residue mod 3
 # gives the dimension offset (exactly 1/3 each of -1, 0, +1) and its
@@ -144,10 +145,12 @@ class CandidateSupply:
     Pool k is a table of k-block proposal draws: ``chunks[k]`` is the
     append-only list of read-only (``_POOL_ROWS``, k, d) point stacks, and
     ``log_weight[k]`` is a list of Python floats whose entry i is row i's
-    log-target minus its proposal log-density.  Pool k has its own generator,
-    seeded from (seed, k), so its rows do not depend on who asks for them.
-    A refill draws all its chunks with one ``student_sample`` call, whose
-    draw blocks are the chunks, so each chunk equals one drawn alone.
+    log-target minus its proposal log-density, for the rows evaluated so
+    far: all but fewer than ``_POOL_ROWS`` of the rows drawn.  Pool k has its
+    own generator, seeded from (seed, k), so its rows do not depend on who
+    asks for them.  A refill draws its chunks with one ``student_sample``
+    call, whose draw blocks are the chunks, so each chunk equals one drawn
+    alone; how many rows a refill evaluates changes no row and no weight.
     """
 
     def __init__(self, tgt: TargetDensity, proposals: StepProposals, seed: int):
@@ -156,23 +159,39 @@ class CandidateSupply:
         self.chunks, self.log_weight = [[] for _ in pools], [[] for _ in pools]
         self._rngs = {}
 
-    def refill(self, k: int) -> None:
-        """Append pool k's next chunks, as many as it holds (at least one, at most
-        ``_BATCH_ELEMENTS`` allows), drawn by one ``student_sample`` call and
-        evaluated in one batched call of each density, whose difference is stored."""
-        chunks = self.chunks[k]
+    def refill(self, k: int, rows: int) -> None:
+        """Evaluate pool k's next ``rows`` rows, at most as many whole chunks'
+        worth as keep rows * k * d * t within ``_BATCH_ELEMENTS`` (at least
+        one chunk's), and append their log weights to ``log_weight[k]``.  The
+        rows are the last chunk's unevaluated ones, then, where those run
+        short, rows of as few new chunks as cover the rest, drawn by one
+        ``student_sample`` call.  Each of the two parts is evaluated by one
+        batched call of each density, so that no chunk is copied."""
+        chunks, log_weight = self.chunks[k], self.log_weight[k]
         if not chunks:
             self._rngs[k] = seeded_rng(self.seed, k)
         params = self.proposals.params(k)
         chunk_elements = _POOL_ROWS * k * self.tgt.prior.dim * max(self.tgt.ctx.t, 1)
-        n = max(1, min(len(chunks), _BATCH_ELEMENTS // chunk_elements))
-        points = student_sample(params, n * _POOL_ROWS, self._rngs[k])
-        if not np.isfinite(points).all():
-            raise ValueError("candidate centers must have finite coordinates")
-        points.flags.writeable = False
-        chunks += (points[i : i + _POOL_ROWS] for i in range(0, len(points), _POOL_ROWS))
-        log_weight = log_target(points, self.tgt) - student_log_density(points, params)
-        self.log_weight[k] += log_weight.tolist()
+        rows = min(rows, _POOL_ROWS * max(1, _BATCH_ELEMENTS // chunk_elements))
+        unevaluated = _POOL_ROWS * len(chunks) - len(log_weight)
+        points = chunks[-1][_POOL_ROWS - unevaluated :] if unevaluated else None
+        if rows > unevaluated:
+            n_new = -(-(rows - unevaluated) // _POOL_ROWS) * _POOL_ROWS  # whole chunks
+            drawn = student_sample(params, n_new, self._rngs[k])
+            if not np.isfinite(drawn).all():
+                raise ValueError("candidate centers must have finite coordinates")
+            drawn.flags.writeable = False
+            chunks += (drawn[i : i + _POOL_ROWS] for i in range(0, n_new, _POOL_ROWS))
+            if points is not None:
+                log_weight += self._log_weights(points, params)
+            points = drawn[: rows - unevaluated]
+        else:
+            points = points[:rows]
+        log_weight += self._log_weights(points, params)
+
+    def _log_weights(self, points: np.ndarray, params) -> list:
+        """The log importance weights of a (n, k, d) stack, as Python floats."""
+        return (log_target(points, self.tgt) - student_log_density(points, params)).tolist()
 
 
 def acceptance_log_prob(current, log_density: float, log_proposal: float) -> float:
@@ -213,6 +232,14 @@ def step(state, k: int, log_weight: float, u: float):
     return accepted, (k, alpha, accepted)
 
 
+def _proposals_of(kp: int, k: int, p: int, draws: np.ndarray) -> int:
+    """How many of the moves with these chain draws would propose kp from k,
+    an offset leading outside {1..p} proposing k itself."""
+    per_offset = np.bincount(draws % 3, minlength=3)  # offsets -1, 0 and +1
+    landing = (k + o if 1 <= k + o <= p else k for o in (-1, 0, 1))
+    return int(sum(n for kq, n in zip(landing, per_offset) if kq == kp))
+
+
 def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: StepProposals, rng):
     """Run ``n_steps`` moves from ``init``; returns (final_state, trace).
 
@@ -220,6 +247,15 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     this ``tgt`` and ``proposals``, and otherwise seeds one from ``rng``;
     then ``rng`` gives one draw per iteration.  So a run in blocks, each
     continuing from the last one's state with the same ``rng``, equals one run.
+
+    The draws fix every move's dimension offset up front.  When a move finds
+    its pool's evaluated rows used up, the refill evaluates as many rows as
+    the moves left, this one first, would propose at that pool were the
+    chain to stay at its k.  Once the chain has left the k it started from,
+    it may leave this one too, so a pool then grows by at most the rows it
+    holds (at least one chunk's), and never beyond that count.  A pool
+    taken up from an earlier run grows by at least the rows it holds, so a
+    chain run in many blocks refills each pool O(log moves) times.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -236,6 +272,7 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     offsets = memoryview((v % 3 - 1).astype(np.int8))
     uniforms = memoryview((v // 3) * 2.0**-50)
     weights = supply.log_weight
+    carried, moved = [bool(w) for w in weights], sum(cursors)
     move = step  # the module global at call time, so a patched step is the one called
     cur, k, last = _Current(init.k, init.log_weight), init.k, None
     kps, alphas, accepts = [], [], []
@@ -245,8 +282,13 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
         cursors[kp] = i + 1
         try:
             w = weights[kp][i]
-        except IndexError:  # the cursor reached the pool's end
-            supply.refill(kp)
+        except IndexError:  # the cursor reached the end of the pool's evaluated rows
+            rows = _proposals_of(kp, k, p, v[sum(cursors) - moved - 1 :])
+            if carried[kp]:  # a pool taken up from an earlier run at least doubles
+                rows = max(rows, i)
+            elif k != init.k:  # a chain that has moved may move on: at most double
+                rows = min(rows, max(_POOL_ROWS, i))
+            supply.refill(kp, rows)
             w = weights[kp][i]
         accepted, (_, alpha, _) = move(cur, kp, w, u)
         if accepted:

@@ -253,6 +253,7 @@ def run_stream(
 
         steps.append(StepRecord(current, loss, trace if t in trace_steps else None))
         current = final.centers
+        del final  # its candidate pools would otherwise live through the next step's chain
 
     return RunRecord(seed=cfg.seed, rep=rep, steps=tuple(steps), final_centers=current)
 

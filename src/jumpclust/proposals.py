@@ -152,15 +152,21 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarr
     prev = np.full(restarts, np.inf)
     prev_labels = None
     eye = np.eye(k)
+    row_offsets = k * np.arange(restarts)[:, None]
     for _ in range(_MAX_ITER):
         d2 = sq_dists(centers, xt)  # (r, k, n)
         labels = d2.argmin(axis=1)
         point_loss = d2.min(axis=1)
         loss = point_loss.sum(axis=1)
-        onehot = eye[labels]  # (r, n, k)
-        counts = onehot.sum(axis=1)  # (r, k), whole numbers
-        sums = np.einsum("rnk,nd->rkd", onehot, x)
+        counts = np.bincount((labels + row_offsets).ravel(), minlength=restarts * k)
+        counts = counts.reshape(restarts, k)
         full = counts.all(axis=1)
+        done = loss >= prev * (1.0 - _TOL)
+        if prev_labels is not None:
+            done |= full & (labels == prev_labels).all(axis=1)
+        if done.all():
+            return centers, loss
+        sums = np.einsum("rnk,nd->rkd", eye[labels], x)
         if full.all():
             new_centers = sums / counts[:, :, None]
         else:
@@ -171,11 +177,6 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarr
                 empty = np.nonzero(counts[r] == 0)[0]
                 farthest = np.argsort(point_loss[r])[::-1][: empty.size]
                 new_centers[r, empty] = x[farthest]
-        done = loss >= prev * (1.0 - _TOL)
-        if prev_labels is not None:
-            done |= full & (labels == prev_labels).all(axis=1)
-        if done.all():
-            return centers, loss
         centers = np.where(done[:, None, None], centers, new_centers)
         prev, prev_labels = loss, labels
     return centers, nearest_sq_dist(centers, xt).sum(axis=1)

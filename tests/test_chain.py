@@ -209,14 +209,16 @@ class TestStepAgainstReferenceRule:
 def pool_candidates(supply, k, n):
     """The first n candidates of pool k, as the chain takes them: (points,
     log_density, log_proposal) rows, each chunk's densities evaluated alone;
-    the pool's log weights are their differences, compared with ==."""
+    the pool's evaluated log weights are a prefix of their differences,
+    compared with ==."""
     while len(supply.log_weight[k]) < n:
-        supply.refill(k)
+        supply.refill(k, n - len(supply.log_weight[k]))
     params, rows = supply.proposals.params(k), []
     for points in supply.chunks[k]:
         log_density = log_target(points, supply.tgt).tolist()
         rows += zip(points, log_density, student_log_density(points, params).tolist())
-    assert supply.log_weight[k] == [ld - lp for _, ld, lp in rows]
+    scored = supply.log_weight[k]
+    assert scored == [ld - lp for _, ld, lp in rows[: len(scored)]]
     return rows[:n]
 
 
@@ -555,11 +557,17 @@ class TestPooledChainAgainstScalarReference:
 
 
 class TestBatchedRefill:
-    """A refill draws its chunks with one student_sample call, whose draw
-    blocks are the chunks, and evaluates the batch in one call of each
-    density: every stored chunk, and its rows of the pool's log weights,
-    equal a chunk drawn and evaluated alone from an equal-seeded generator,
-    compared with ==."""
+    """A refill evaluates the rows asked for, up to the element bound: the
+    last chunk's unevaluated rows, then, only when those fall short, rows of
+    whole chunks drawn by one student_sample call whose draw blocks are the
+    chunks, each part in one call of each density.  Every stored chunk
+    equals a chunk drawn alone from an equal-seeded generator, and the
+    pool's log weights are a prefix of those chunks' weights evaluated
+    alone, compared with ==."""
+
+    # the first refill draws one chunk; the second is served from its rows; the
+    # third evaluates that chunk's last rows, then a new chunk's first rows
+    ROWS = (1, 23, 40, 500, 8, 300, 3)
 
     @pytest.mark.parametrize("case", ["toy", "sine_drift"])
     def test_batched_chunks_equal_chunks_evaluated_alone(self, case, monkeypatch):
@@ -569,7 +577,7 @@ class TestBatchedRefill:
             ks = (1, 2, 3)
         else:
             tgt, props = sine_drift_step(t=60)
-            ks = (1, 2, 5)
+            ks = (1, 2, 5, 9)  # at k = 9 one chunk exceeds the element bound
         batch_rows = []
         batched_log_target = chain.log_target
 
@@ -579,25 +587,36 @@ class TestBatchedRefill:
 
         monkeypatch.setattr(chain, "log_target", spy)
         supply = CandidateSupply(tgt, props, 68)
-        size = chain._POOL_ROWS
+        size, d, t = chain._POOL_ROWS, tgt.prior.dim, tgt.ctx.t
+        capped = False
         for k in ks:
             rng, params = seeded_rng(68, k), props.params(k)
-            log_weight = []  # the one-chunk evaluations so far
-            for _ in range(5):  # batches of 1, 1, 2, 4 and 8 chunks, as the budget allows
-                supply.refill(k)
+            cap = size * max(1, chain._BATCH_ELEMENTS // (size * k * d * t))
+            log_weight = []  # the one-chunk evaluations of the chunks drawn so far
+            for rows in self.ROWS:
+                scored, capped = len(supply.log_weight[k]), capped or rows > cap
+                unevaluated, batches = size * len(supply.chunks[k]) - scored, len(batch_rows)
+                supply.refill(k, rows)
+                # the last chunk's unevaluated rows, then the new chunks' rows
+                n = min(rows, cap)
+                parts = [min(n, unevaluated)] if unevaluated else []
+                parts += [n - unevaluated] if n > unevaluated else []
+                assert [shape[0] for shape in batch_rows[batches:]] == parts
+                assert len(supply.log_weight[k]) == scored + n
                 for points in supply.chunks[k][len(log_weight) // size :]:
                     alone = student_sample(params, size, rng)
                     assert points.shape == alone.shape and (points == alone).all()
                     log_weight += (
                         log_target(alone, tgt) - student_log_density(alone, params)
                     ).tolist()
-                assert len(supply.log_weight[k]) == size * len(supply.chunks[k])
-                assert supply.log_weight[k] == log_weight
-            assert len(supply.chunks[k]) >= 5
-        assert max(rows for rows, _, _ in batch_rows) >= 8 * chain._POOL_ROWS
-        d, t = tgt.prior.dim, tgt.ctx.t
-        assert all(rows * k * d * t <= chain._BATCH_ELEMENTS for rows, k, _ in batch_rows)
-
+                assert 0 <= len(log_weight) - len(supply.log_weight[k]) < size
+                assert supply.log_weight[k] == log_weight[: len(supply.log_weight[k])]
+        # a batch keeps to the element bound, or to one chunk where a chunk exceeds it
+        assert all(
+            rows * k * d * t <= max(chain._BATCH_ELEMENTS, size * k * d * t)
+            for rows, k, _ in batch_rows
+        )
+        assert capped == (case == "sine_drift")
 
     def test_one_student_sample_call_per_refill(self, monkeypatch):
         calls, real_sample = [], chain.student_sample
@@ -609,12 +628,122 @@ class TestBatchedRefill:
         monkeypatch.setattr(chain, "student_sample", spy)
         tgt = toy_target()
         supply = CandidateSupply(tgt, toy_proposals(tgt), 68)
-        for refills in range(1, 6):  # batches of 1, 1, 2, 4 and 8 chunks
-            before = len(supply.chunks[2])
-            supply.refill(2)
-            assert len(calls) == refills
-            assert calls[-1] == (len(supply.chunks[2]) - before) * chain._POOL_ROWS
-        assert calls[-1] == 8 * chain._POOL_ROWS
+        size = chain._POOL_ROWS
+        for rows in self.ROWS:
+            drawn, before = size * len(supply.chunks[2]), len(calls)
+            short = len(supply.log_weight[2]) + rows - drawn
+            supply.refill(2, rows)
+            assert len(calls) == before + (short > 0)
+            assert size * len(supply.chunks[2]) - drawn == (calls[-1] if short > 0 else 0)
+            assert size * len(supply.chunks[2]) - len(supply.log_weight[2]) < size
+        assert len(calls) == 4  # the 23-, 8- and 3-row refills drew nothing
+
+
+def replayed_pool_sizes(trace, k0, seed, tgt, props):
+    """Each pool's evaluated rows after a fresh run from k0 with generator
+    seeded_rng(seed, 0), by the refill rule replayed one move at a time from
+    the trace and the run's offsets: the moves left that would propose the
+    pool were the chain to stay at its k, at most the pool's rows again
+    (at least a chunk) once the chain has left k0, and at most the whole
+    chunks that the element bound allows."""
+    p, size = props.max_clusters, chain._POOL_ROWS
+    rng = seeded_rng(seed, 0)
+    rng.integers(2**63)  # the supply's seed
+    offsets = (rng.integers(0, 3 << 50, size=len(trace)) % 3 - 1).tolist()
+    held, used, k = [0] * (p + 1), [0] * (p + 1), k0
+    for j, (kp, accepted) in enumerate(zip(trace.k_proposed.tolist(), trace.accepted.tolist())):
+        if used[kp] == held[kp]:
+            rows = sum((k + o if 1 <= k + o <= p else k) == kp for o in offsets[j:])
+            if k != k0:
+                rows = min(rows, max(size, held[kp]))
+            chunk_elements = size * kp * tgt.prior.dim * max(tgt.ctx.t, 1)
+            held[kp] += min(rows, size * max(1, chain._BATCH_ELEMENTS // chunk_elements))
+        used[kp] += 1
+        k = kp if accepted else k
+    return held
+
+
+class TestRefillSize:
+    """A refill evaluates the rows the run's remaining moves would propose at
+    its pool were the chain to stay at its k; once the chain has left its
+    starting k, at most the pool's rows again; a pool carried from an
+    earlier run at least doubles."""
+
+    @pytest.mark.parametrize("p", [3, 4])  # k = 3 at the upper boundary, and inside
+    def test_a_chain_that_accepts_nothing_evaluates_only_its_proposals(self, p, monkeypatch):
+        """Each pool is refilled once, with exactly the moves that propose it."""
+        tgt = toy_target(p=p, lam=1e4)  # so cold that no move leaves the warm start
+        props = toy_proposals(tgt)
+        init, batches, real_log_target = initial_state(3, tgt, props), [], chain.log_target
+
+        def spy(points, target):
+            batches.append(points.shape[:2])
+            return real_log_target(points, target)
+
+        monkeypatch.setattr(chain, "log_target", spy)
+        final, trace = run_chain(init, 600, tgt, props, seeded_rng(69, 0))
+        assert not trace.accepted.any()
+        proposed = np.bincount(trace.k_proposed, minlength=p + 1).tolist()
+        assert [len(w) for w in final.supply.log_weight] == proposed
+        assert list(final.cursors) == proposed
+        assert sorted(batches, key=lambda b: b[1]) == [(n, k) for k, n in enumerate(proposed) if n]
+
+    @pytest.mark.parametrize("case", ["flat_prior", "toy", "sine_drift"])
+    def test_refill_sizes_follow_the_rule_replayed_from_the_trace(self, case):
+        """On the flat prior the chain wanders over several k (where counts that
+        assume it stays would fill pools it leaves behind); on the toy target
+        it accepts about 40 % of moves; on the data target it mostly stays."""
+        if case == "flat_prior":
+            prior = PriorSpec(kind="uniform", dim=1, max_clusters=20, radius=1.0, decay=0.0)
+            tgt = TargetDensity.prior_only(prior)
+            props = StepProposals(
+                np.zeros((0, 1)), tau=1.0, max_clusters=20, kmeans_cfg=KMeansConfig(),
+                rng_for_k=lambda k: seeded_rng(71, (3, k)),
+            )
+            k0 = 1
+        elif case == "toy":
+            tgt = toy_target()
+            props, k0 = toy_proposals(tgt), 1
+        else:
+            tgt, props = sine_drift_step(t=60)
+            k0 = 3
+        n = 600
+        final, trace = run_chain(initial_state(k0, tgt, props), n, tgt, props, seeded_rng(71, 0))
+        assert [len(w) for w in final.supply.log_weight] == replayed_pool_sizes(
+            trace, k0, 71, tgt, props
+        )
+        assert (trace.k_current != k0).any()
+        if case == "flat_prior":
+            assert len(set(trace.k_current.tolist())) >= 5
+
+    def test_blocks_of_a_long_chain_draw_a_logarithmic_number_of_times(self, monkeypatch):
+        """100 blocks of 1,000 moves on the oracle-check toy chain: each pool is
+        drawn O(log moves) times, not once per block, and the blocks equal one run."""
+        draws, real_sample = [], chain.student_sample
+
+        def spy(params, n, rng):
+            draws.append(params.k)
+            return real_sample(params, n, rng)
+
+        args = cli.build_parser().parse_args(["oracle-check"])
+        tgt = cli._toy_target(args)
+        props = StepProposals(
+            tgt.ctx.observations,
+            tau=proposal_scale(args.max_clusters, tgt.ctx.t + 1),
+            max_clusters=args.max_clusters,
+            rng_for_k=lambda k: seeded_rng(args.seed, (cli._KMEANS_STREAM, 0, k)),
+            jitter_scale=args.radius,
+        )
+        state0, n = initial_state(1, tgt, props), 100_000
+        whole, trace = run_chain(state0, n, tgt, props, seeded_rng(args.seed, 70))
+        monkeypatch.setattr(chain, "student_sample", spy)
+        part, traces = run_in_blocks(state0, 1_000, n, tgt, props, seeded_rng(args.seed, 70))
+        assert part == whole and part.cursors == whole.cursors
+        for name in ("k_proposed", "alpha", "accepted", "k_current"):
+            got, one = np.concatenate([getattr(t, name) for t in traces]), getattr(trace, name)
+            assert got.tolist() == one.tolist()
+        per_pool = np.bincount(draws, minlength=args.max_clusters + 1)[1:]
+        assert (per_pool > 0).all() and per_pool.max() <= 2 * math.log2(n)
 
 
 class TestChainMemory:
