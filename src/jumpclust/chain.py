@@ -174,20 +174,18 @@ class CandidateSupply:
         chunk_elements = _POOL_ROWS * k * self.tgt.prior.dim * max(self.tgt.ctx.t, 1)
         rows = min(rows, _POOL_ROWS * max(1, _BATCH_ELEMENTS // chunk_elements))
         unevaluated = _POOL_ROWS * len(chunks) - len(log_weight)
-        points = chunks[-1][_POOL_ROWS - unevaluated :] if unevaluated else None
-        if rows > unevaluated:
-            n_new = -(-(rows - unevaluated) // _POOL_ROWS) * _POOL_ROWS  # whole chunks
+        if unevaluated:
+            tail = chunks[-1][_POOL_ROWS - unevaluated :][:rows]
+            log_weight += self._log_weights(tail, params)
+            rows -= len(tail)
+        if rows:
+            n_new = -(-rows // _POOL_ROWS) * _POOL_ROWS  # whole chunks
             drawn = student_sample(params, n_new, self._rngs[k])
             if not np.isfinite(drawn).all():
                 raise ValueError("candidate centers must have finite coordinates")
             drawn.flags.writeable = False
             chunks += (drawn[i : i + _POOL_ROWS] for i in range(0, n_new, _POOL_ROWS))
-            if points is not None:
-                log_weight += self._log_weights(points, params)
-            points = drawn[: rows - unevaluated]
-        else:
-            points = points[:rows]
-        log_weight += self._log_weights(points, params)
+            log_weight += self._log_weights(drawn[:rows], params)
 
     def _log_weights(self, points: np.ndarray, params) -> list:
         """The log importance weights of a (n, k, d) stack, as Python floats."""
@@ -232,12 +230,18 @@ def step(state, k: int, log_weight: float, u: float):
     return accepted, (k, alpha, accepted)
 
 
-def _proposals_of(kp: int, k: int, p: int, draws: np.ndarray) -> int:
-    """How many of the moves with these chain draws would propose kp from k,
-    an offset leading outside {1..p} proposing k itself."""
-    per_offset = np.bincount(draws % 3, minlength=3)  # offsets -1, 0 and +1
-    landing = (k + o if 1 <= k + o <= p else k for o in (-1, 0, 1))
-    return int(sum(n for kq, n in zip(landing, per_offset) if kq == kp))
+def _proposals_of(offset: int, k: int, p: int, offsets: bytes, j: int) -> int:
+    """How many of the moves from the j-th on would propose k + offset from k,
+    given every move's dimension offset as one int8 byte; an offset leading
+    outside {1..p} proposes k itself."""
+    if offset:
+        return offsets.count(offset % 256, j)  # -1 is the byte 255
+    stay = offsets.count(0, j)
+    if k == 1:
+        stay += offsets.count(255, j)
+    if k == p:
+        stay += offsets.count(1, j)
+    return stay
 
 
 def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: StepProposals, rng):
@@ -251,11 +255,12 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     The draws fix every move's dimension offset up front.  When a move finds
     its pool's evaluated rows used up, the refill evaluates as many rows as
     the moves left, this one first, would propose at that pool were the
-    chain to stay at its k.  Once the chain has left the k it started from,
-    it may leave this one too, so a pool then grows by at most the rows it
-    holds (at least one chunk's), and never beyond that count.  A pool
-    taken up from an earlier run grows by at least the rows it holds, so a
-    chain run in many blocks refills each pool O(log moves) times.
+    chain to stay at its k.  From the first accepted move to another k on,
+    even once the chain is back at the k it started from, it may move
+    again, so a pool then grows by at most the rows it holds (at least one
+    chunk's), and never beyond that count.  A pool taken up from an earlier
+    run grows by at least the rows it holds, so a chain run in many blocks
+    refills each pool O(log moves) times.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -269,29 +274,30 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
         supply = CandidateSupply(tgt, proposals, int(rng.integers(2**63)))
         cursors = [0] * (p + 1)
     v = rng.integers(0, _DRAW_RANGE, size=n_steps)
-    offsets = memoryview((v % 3 - 1).astype(np.int8))
+    offsets = (v % 3 - 1).astype(np.int8).tobytes()
     uniforms = memoryview((v // 3) * 2.0**-50)
     weights = supply.log_weight
-    carried, moved = [bool(w) for w in weights], sum(cursors)
+    carried, left = [bool(w) for w in weights], False
     move = step  # the module global at call time, so a patched step is the one called
     cur, k, last = _Current(init.k, init.log_weight), init.k, None
     kps, alphas, accepts = [], [], []
-    for offset, u in zip(offsets, uniforms):
+    for offset, u in zip(memoryview(offsets).cast("b"), uniforms):
         kp = k + offset if 1 <= k + offset <= p else k
         i = cursors[kp]
         cursors[kp] = i + 1
         try:
             w = weights[kp][i]
         except IndexError:  # the cursor reached the end of the pool's evaluated rows
-            rows = _proposals_of(kp, k, p, v[sum(cursors) - moved - 1 :])
+            rows = _proposals_of(kp - k, k, p, offsets, len(kps))
             if carried[kp]:  # a pool taken up from an earlier run at least doubles
                 rows = max(rows, i)
-            elif k != init.k:  # a chain that has moved may move on: at most double
+            elif left:  # a chain that has left its starting k may move again: at most double
                 rows = min(rows, max(_POOL_ROWS, i))
             supply.refill(kp, rows)
             w = weights[kp][i]
         accepted, (_, alpha, _) = move(cur, kp, w, u)
         if accepted:
+            left = left or kp != k
             cur.k = k = kp
             cur.log_weight = w
             last = i

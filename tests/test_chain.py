@@ -644,21 +644,22 @@ def replayed_pool_sizes(trace, k0, seed, tgt, props):
     seeded_rng(seed, 0), by the refill rule replayed one move at a time from
     the trace and the run's offsets: the moves left that would propose the
     pool were the chain to stay at its k, at most the pool's rows again
-    (at least a chunk) once the chain has left k0, and at most the whole
-    chunks that the element bound allows."""
+    (at least a chunk) from the first accepted move to another k on, and at
+    most the whole chunks that the element bound allows."""
     p, size = props.max_clusters, chain._POOL_ROWS
     rng = seeded_rng(seed, 0)
     rng.integers(2**63)  # the supply's seed
     offsets = (rng.integers(0, 3 << 50, size=len(trace)) % 3 - 1).tolist()
-    held, used, k = [0] * (p + 1), [0] * (p + 1), k0
+    held, used, k, left = [0] * (p + 1), [0] * (p + 1), k0, False
     for j, (kp, accepted) in enumerate(zip(trace.k_proposed.tolist(), trace.accepted.tolist())):
         if used[kp] == held[kp]:
             rows = sum((k + o if 1 <= k + o <= p else k) == kp for o in offsets[j:])
-            if k != k0:
+            if left:
                 rows = min(rows, max(size, held[kp]))
             chunk_elements = size * kp * tgt.prior.dim * max(tgt.ctx.t, 1)
             held[kp] += min(rows, size * max(1, chain._BATCH_ELEMENTS // chunk_elements))
         used[kp] += 1
+        left = left or (accepted and kp != k)
         k = kp if accepted else k
     return held
 
@@ -666,8 +667,21 @@ def replayed_pool_sizes(trace, k0, seed, tgt, props):
 class TestRefillSize:
     """A refill evaluates the rows the run's remaining moves would propose at
     its pool were the chain to stay at its k; once the chain has left its
-    starting k, at most the pool's rows again; a pool carried from an
-    earlier run at least doubles."""
+    starting k, at most the pool's rows again, also after it comes back; a
+    pool carried from an earlier run at least doubles."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_offset_counts_equal_a_plain_count(self, p):
+        """The refill's count read from the offsets' bytes, for every k' a move
+        from k can propose and several start moves, against counting the
+        moves one by one."""
+        offsets = seeded_rng(73, p).integers(-1, 2, size=200).tolist()
+        raw = np.array(offsets, dtype=np.int8).tobytes()
+        for k in range(1, p + 1):
+            for kp in {max(1, k - 1), k, min(p, k + 1)}:
+                for j in (0, 1, 117, 199, 200):
+                    plain = sum((k + o if 1 <= k + o <= p else k) == kp for o in offsets[j:])
+                    assert chain._proposals_of(kp - k, k, p, raw, j) == plain
 
     @pytest.mark.parametrize("p", [3, 4])  # k = 3 at the upper boundary, and inside
     def test_a_chain_that_accepts_nothing_evaluates_only_its_proposals(self, p, monkeypatch):
@@ -687,6 +701,45 @@ class TestRefillSize:
         assert [len(w) for w in final.supply.log_weight] == proposed
         assert list(final.cursors) == proposed
         assert sorted(batches, key=lambda b: b[1]) == [(n, k) for k, n in enumerate(proposed) if n]
+
+    def test_a_chain_back_at_its_starting_k_keeps_its_refills_capped(self, monkeypatch):
+        """The chain leaves k0 at its first move to another k, comes back at its
+        first move to k0 after that, then rejects every move.  After the leaving
+        move, every refill asks for at most the pool's rows again (at least
+        a chunk's); after the return some ask for fewer than the moves left
+        propose, though the chain never leaves k0 again."""
+        k0, size, seen, turns, refills = 2, chain._POOL_ROWS, [], [], []
+        real_step, real_refill = chain.step, CandidateSupply.refill
+
+        def forced(state, k, log_weight, u):
+            accept = len(turns) < 2 and (state.k == k0) != (k == k0)  # leave, then return
+            if accept:
+                turns.append(len(seen))
+            seen.append(state.k)
+            return real_step(state, k, log_weight, -1.0 if accept else 1.0)
+
+        def spy(supply, k, rows):
+            refills.append((len(seen), k, rows, len(supply.log_weight[k])))
+            return real_refill(supply, k, rows)
+
+        monkeypatch.setattr(chain, "step", forced)
+        monkeypatch.setattr(CandidateSupply, "refill", spy)
+        tgt = toy_target(p=4)
+        props = toy_proposals(tgt)
+        final, trace = run_chain(initial_state(k0, tgt, props), 600, tgt, props, seeded_rng(72, 0))
+        assert np.flatnonzero(trace.accepted).tolist() == turns and len(turns) == 2
+        assert (trace.k_current[turns[1] :] == k0).all()
+        proposed = trace.k_proposed.tolist()
+        for j, k, rows, held in refills:
+            if j > turns[0]:
+                assert rows <= max(size, held)
+        capped = [
+            (j, k) for j, k, rows, held in refills if j > turns[1] and rows < proposed[j:].count(k)
+        ]
+        assert capped
+        assert [len(w) for w in final.supply.log_weight] == replayed_pool_sizes(
+            trace, k0, 72, tgt, props
+        )
 
     @pytest.mark.parametrize("case", ["flat_prior", "toy", "sine_drift"])
     def test_refill_sizes_follow_the_rule_replayed_from_the_trace(self, case):
