@@ -15,8 +15,9 @@ a difference of log importance weights (Liu 1996), for k' = k too.
 Candidates do not depend on the chain's history, so they are drawn ahead,
 per k, into an append-only pool of i.i.d. draws that keeps each row's weight
 (:class:`CandidateSupply`); each draw is used at most once, so the chain
-stays exact.  The move loop makes one :func:`step` call per move and keeps
-the current k and weight in one record that an accepted move overwrites.
+stays exact.  A state is its points and weight; the move loop calls
+:func:`step` once per move and keeps the current k and weight in one record
+that an accepted move overwrites.
 """
 
 from __future__ import annotations
@@ -58,20 +59,19 @@ _DRAW_RANGE = 3 << 50
 
 @dataclass(frozen=True, eq=False, slots=True)
 class ChainState:
-    """A center vector with its log-target, its proposal log-density and
-    their difference ``log_weight``, its log importance weight.
+    """A center vector with its log importance weight ``log_weight``, its
+    log-target minus its proposal log-density under its own k-block.
 
     ``points`` is the read-only (k, d) array of coordinates.  A state returned
     by :func:`run_chain` also carries the run's candidate ``supply`` and, per
     k, the ``cursors`` index of the next unused candidate, which a run
-    continued from it takes up; neither enters ==.
+    continued from it takes up; both are keyword-only and neither enters ==.
     """
 
     points: np.ndarray
-    log_density: float
-    log_proposal: float
-    supply: Optional[CandidateSupply] = field(default=None, repr=False)
-    cursors: tuple = field(default=(), repr=False)
+    log_weight: float
+    supply: Optional[CandidateSupply] = field(default=None, repr=False, kw_only=True)
+    cursors: tuple = field(default=(), repr=False, kw_only=True)
 
     @property
     def k(self) -> int:
@@ -82,16 +82,12 @@ class ChainState:
         """The coordinates as a validated :class:`Centers` (a fresh copy per read)."""
         return Centers(self.points)
 
-    @property
-    def log_weight(self) -> float:
-        return self.log_density - self.log_proposal
-
     def __eq__(self, other) -> bool:
         """Value equality, so that replayed chains compare equal."""
         return (
             isinstance(other, ChainState)
             and np.array_equal(self.points, other.points)
-            and (self.log_density, self.log_proposal) == (other.log_density, other.log_proposal)
+            and self.log_weight == other.log_weight
         )
 
     __hash__ = None
@@ -194,15 +190,15 @@ class CandidateSupply:
 
 def acceptance_log_prob(current, log_density: float, log_proposal: float) -> float:
     """log of the acceptance probability (always <= 0) of a move from
-    ``current`` (anything with ``log_density`` and ``log_weight``, such as a
-    :class:`ChainState`) to a candidate with the given log-target and proposal
-    log-density: ``(log_density - log_proposal) - current.log_weight``.
+    ``current`` (anything with ``log_weight``, such as a :class:`ChainState`)
+    to a candidate with the given log-target and proposal log-density:
+    ``(log_density - log_proposal) - current.log_weight``.
 
     The dimension-proposal ratio is identically 1 under the symmetric
     boundary rule and is therefore omitted.  This is the reference rule that
     :func:`step` computes inline, in the same float order.
     """
-    if not math.isfinite(current.log_density):
+    if not current.log_weight > -math.inf:  # -inf (NaN if both densities are) off the support
         raise ValueError("current chain state lies outside the target support")
     if log_density == -math.inf:
         return -math.inf
@@ -249,8 +245,10 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
 
     A run takes up the candidate supply ``init`` carries if it was built for
     this ``tgt`` and ``proposals``, and otherwise seeds one from ``rng``;
-    then ``rng`` gives one draw per iteration.  So a run in blocks, each
-    continuing from the last one's state with the same ``rng``, equals one run.
+    then ``rng`` gives one draw per iteration.  The state returned is the
+    last accepted pool row with its stored weight (or ``init``), so no
+    density is evaluated after the moves, and a run in blocks, each continuing
+    from the last one's state with the same ``rng``, equals one run.
 
     The draws fix every move's dimension offset up front.  When a move finds
     its pool's evaluated rows used up, the refill evaluates as many rows as
@@ -264,7 +262,7 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if not math.isfinite(init.log_density):
+    if not init.log_weight > -math.inf:
         raise ValueError("initial chain state lies outside the target support")
     p = proposals.max_clusters
     if not 1 <= init.k <= p:
@@ -310,11 +308,9 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     k_current = np.concatenate(([init.k], k_proposed))[taken]
     trace = ChainTrace(k_proposed, np.array(alphas), accepted, k_current)
     state = init
-    if last is not None:  # the last accepted pool row; alone, its densities equal the batch's
+    if last is not None:  # the last accepted pool row, with its stored weight
         c, r = divmod(last, _POOL_ROWS)
-        row = supply.chunks[k][c][r : r + 1]
-        ld, lp = log_target(row, tgt)[0], student_log_density(row, proposals.params(k))[0]
-        state = ChainState(row[0], float(ld), float(lp))
+        state = ChainState(supply.chunks[k][c][r], weights[k][last])
     return replace(state, supply=supply, cursors=tuple(cursors)), trace
 
 
@@ -323,8 +319,7 @@ def initial_state(k0: int, tgt: TargetDensity, proposals: StepProposals) -> Chai
     support ball of radius 2R."""
     params = proposals.params(k0)
     c = Centers(clip_to_ball(params.locations, 2.0 * tgt.prior.radius * (1 - 1e-9)))
-    log_proposal = float(student_log_density(c.points[None], params)[0])
-    state = ChainState(c.points, log_target(c, tgt), log_proposal)
-    if not math.isfinite(state.log_density):
+    log_density, log_proposal = log_target(c, tgt), student_log_density(c.points[None], params)
+    if not math.isfinite(log_density):
         raise ValueError("warm-start state has zero target density")
-    return state
+    return ChainState(c.points, log_density - float(log_proposal[0]))

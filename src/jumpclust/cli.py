@@ -166,7 +166,7 @@ def _load_stream(args):
                 if not row:
                     continue
                 where = f"{args.data}: line {reader.line_num}"
-                if len(row) < len(header):
+                if len(row) != len(header):
                     raise CliError(f"{where} has {len(row)} fields, the header has {len(header)}")
                 values = []
                 for name, parse in cells:

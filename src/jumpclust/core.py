@@ -187,8 +187,8 @@ class StreamConfig:
     seed
         Master seed in [0, 2**64); all randomness in a run derives from it.
     label_correction
-        Weight each k-slice of the sampling target by k! to compensate the
-        center-ordering confinement of the anchored proposals (see
+        Weight each k-slice of the target by k!, which is exact only while
+        the chain cannot reach a second center ordering (see
         :class:`jumpclust.posterior.TargetDensity`).  Off by default; the
         replication benchmark turns it on.
     """

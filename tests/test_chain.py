@@ -108,13 +108,20 @@ def proposal_density(c, params):
     return float(student_log_density(c.points[None], params)[0])
 
 
+def densities(c, tgt, params):
+    """(log-target, proposal log-density) of one center vector."""
+    return log_target(c, tgt), proposal_density(c, params)
+
+
 def chain_state(c, tgt, params):
-    return ChainState(c.points, log_target(c, tgt), proposal_density(c, params))
+    log_density, log_proposal = densities(c, tgt, params)
+    return ChainState(c.points, log_density - log_proposal)
 
 
 def log_alpha(current, candidate):
-    """acceptance_log_prob of a move between two states."""
-    return acceptance_log_prob(current, candidate.log_density, candidate.log_proposal)
+    """acceptance_log_prob of a move to a candidate given as (log-target,
+    proposal log-density)."""
+    return acceptance_log_prob(current, *candidate)
 
 
 class TestAcceptance:
@@ -122,21 +129,21 @@ class TestAcceptance:
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(2, tgt, props)
-        assert log_alpha(state, state) == 0.0
+        assert log_alpha(state, densities(state.centers, tgt, props.params(2))) == 0.0
 
     def test_outside_support_never_accepted(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(1, tgt, props)
-        bad = chain_state(Centers([[2.5]]), tgt, props.params(1))
+        bad = densities(Centers([[2.5]]), tgt, props.params(1))
         assert log_alpha(state, bad) == -math.inf
 
     def test_current_state_must_be_in_support(self):
         tgt = toy_target()
         props = toy_proposals(tgt)
         dead = chain_state(Centers([[2.5]]), tgt, props.params(1))
-        good = chain_state(Centers([[0.0]]), tgt, props.params(1))
-        assert dead.log_density == -math.inf
+        good = densities(Centers([[0.0]]), tgt, props.params(1))
+        assert log_target(dead.centers, tgt) == -math.inf
         with pytest.raises(ValueError):
             log_alpha(dead, good)
 
@@ -152,12 +159,10 @@ class TestAcceptance:
             params = props.params(k)
             a = Centers(rng.uniform(-2, 2, size=(k, 1)))
             b = Centers(rng.uniform(-2, 2, size=(k, 1)))
-            sa = chain_state(a, tgt, params)
-            sb = chain_state(b, tgt, params)
-            lab = log_alpha(sa, sb)
-            lba = log_alpha(sb, sa)
-            lhs = lab + sa.log_density + proposal_density(b, params)
-            rhs = lba + sb.log_density + proposal_density(a, params)
+            lab = log_alpha(chain_state(a, tgt, params), densities(b, tgt, params))
+            lba = log_alpha(chain_state(b, tgt, params), densities(a, tgt, params))
+            lhs = lab + log_target(a, tgt) + proposal_density(b, params)
+            rhs = lba + log_target(b, tgt) + proposal_density(a, params)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
         assert worst <= 1e-9
 
@@ -169,7 +174,7 @@ class TestAcceptance:
         params = props.params(2)
         a = Centers([[-0.8], [0.9]])
         b = Centers([[-0.6], [1.0]])
-        la = log_alpha(chain_state(a, tgt, params), chain_state(b, tgt, params))
+        la = log_alpha(chain_state(a, tgt, params), densities(b, tgt, params))
         dens_ratio = log_target(b, tgt) - log_target(a, tgt)
         prop_ratio = proposal_density(a, params) - proposal_density(b, params)
         assert la == pytest.approx(min(0.0, dens_ratio + prop_ratio), abs=1e-12)
@@ -192,12 +197,12 @@ class TestStepAgainstReferenceRule:
         for scale in (1e-3, 1.0, 30.0, 1e3):
             for _ in range(2_000):
                 sld, slp, ld, lp = scale * rng.standard_normal(4)
-                state = ChainState(np.zeros((2, 1)), float(sld), float(slp))
+                state = ChainState(np.zeros((2, 1)), float(sld) - float(slp))
                 self.check(state, float(ld), float(lp), float(rng.random()))
 
     def test_edge_deltas(self):
-        state = ChainState(np.zeros((1, 1)), -3.25, 1.5)
-        ld, lp = state.log_density, state.log_proposal
+        ld, lp = -3.25, 1.5
+        state = ChainState(np.zeros((1, 1)), ld - lp)
         assert self.check(state, -math.inf, lp, 0.0) == 0.0  # outside the support
         assert self.check(state, -math.inf, -40.0, 0.0) == 0.0
         assert self.check(state, ld, lp, 0.999) == 1.0  # delta == 0
@@ -241,10 +246,10 @@ class TestStepAndChain:
         for points, ld, lp in pool_candidates(CandidateSupply(tgt, props, 55), 1, 50):
             u = rng.random()
             accepted, move = step(state, 1, ld - lp, u)
-            assert move == (1, math.exp(log_alpha(state, ChainState(points, ld, lp))), accepted)
+            assert move == (1, math.exp(log_alpha(state, (ld, lp))), accepted)
             assert accepted == (u < move[1])
             if accepted:
-                state = ChainState(points, ld, lp)
+                state = ChainState(points, ld - lp)
             else:
                 saw_rejection = True
         assert saw_rejection
@@ -298,7 +303,7 @@ class TestStepAndChain:
         row = (trace.k_proposed[: last + 1] == k).sum() - 1
         points, log_density, log_proposal = pool_candidates(final.supply, k, row + 1)[row]
         assert np.array_equal(final.points, points)
-        assert (final.log_density, final.log_proposal) == (log_density, log_proposal)
+        assert final.log_weight == log_density - log_proposal
 
     def test_step_is_called_once_per_move_with_the_state_before_it(self, monkeypatch):
         """What a tracer wrapping chain.step reads: one call per move, whose
@@ -334,7 +339,7 @@ class TestStepAndChain:
         final, trace = run_chain(init, 200, tgt, props, seeded_rng(59, 0))
         assert not trace.accepted.any() and (trace.k_current == 2).all()
         assert final.points is init.points
-        assert (final.log_density, final.log_proposal) == (init.log_density, init.log_proposal)
+        assert final.log_weight == init.log_weight
         assert sum(final.cursors) == 200 and final.supply is not None
 
     @pytest.mark.parametrize("accept_at", [{0}, {199}, set(), {0, 57, 58, 120}])
@@ -367,8 +372,8 @@ class TestStepAndChain:
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_k_after_each_move_in_blocks_equals_one_run(self, block):
         """A continued block starts from the weight of the returned state,
-        whose densities are the last accepted row's evaluated alone: its
-        alphas equal the single run's only if that weight is the pool's."""
+        the pool's stored weight of the last accepted row, so its alphas
+        equal the single run's."""
         tgt = toy_target()
         props = toy_proposals(tgt)
         state0 = initial_state(1, tgt, props)
@@ -386,7 +391,7 @@ class TestStepAndChain:
         tgt = toy_target()
         props = toy_proposals(tgt)
         state = initial_state(1, tgt, props)
-        wide = ChainState(np.zeros((4, 1)), state.log_density, state.log_proposal)
+        wide = ChainState(np.zeros((4, 1)), state.log_weight)
         with pytest.raises(ValueError, match="outside"):
             run_chain(wide, 5, tgt, props, seeded_rng(56, 1))
 
@@ -408,7 +413,7 @@ class TestStepAndChain:
         rng = seeded_rng(59, 0)
         for _ in range(500):
             state, _ = run_chain(state, 1, tgt, props, rng)
-            assert math.isfinite(state.log_density)
+            assert math.isfinite(log_target(state.centers, tgt))
 
     def test_prior_target_k_marginal_uniform(self):
         # temperature 0 with a uniform count prior: long-run k-marginal is flat
@@ -468,8 +473,10 @@ class TestToyChainGolden:
     """The bytes of a 2,000-move chain on the oracle-check toy target, where
     about 39 % of moves are accepted (the stream goldens accept 5-7 %): the
     four trace arrays with their dtypes and shapes, then the final state's
-    points and densities.  Recorded before the move loop kept its current
-    state in one overwritten record and built the returned state once.
+    points and densities, which the test evaluates from the points since the
+    state keeps only their difference.  Recorded before the move loop kept
+    its current state in one overwritten record and built the returned
+    state once.
     Re-recorded when the pools kept one log importance weight per row and
     alpha became exp of the difference of two weights: 450 of the 2,000
     alphas moved in the last bits (by at most 5.6e-16), while the proposed
@@ -491,7 +498,9 @@ class TestToyChainGolden:
         for a in (trace.k_proposed, trace.alpha, trace.accepted, trace.k_current, final.points):
             digest.update(f"{a.dtype.str}{a.shape}".encode())
             digest.update(a.tobytes())
-        digest.update(np.array([final.log_density, final.log_proposal]).tobytes())
+        row = final.points[None]
+        evaluated = log_target(row, tgt)[0], student_log_density(row, props.params(final.k))[0]
+        digest.update(np.array(evaluated).tobytes())
         assert trace.acceptance_rate() == 0.39
         assert digest.hexdigest() == "a226528361ccd74b9d56e8c0222040f2e221e28f"
 
@@ -515,21 +524,80 @@ def scalar_reference(state, n, tgt, props, seed, supply):
             k_cand = state.k
         c = Centers(rows[k_cand][used[k_cand]])
         used[k_cand] += 1
-        params = props.params(k_cand)
-        cand = chain_state(c, tgt, params)
-        alpha = math.exp(log_alpha(state, cand))
+        log_density, log_proposal = densities(c, tgt, props.params(k_cand))
+        alpha = math.exp(acceptance_log_prob(state, log_density, log_proposal))
         if u < alpha:
-            state = cand
+            state = ChainState(c.points, log_density - log_proposal)
         states.append(state)
         k_proposed.append(k_cand)
         alphas.append(alpha)
     return states, k_proposed, alphas
 
 
+class TestReturnedState:
+    """The state a run returns is the pool row of its last accepted move with
+    the weight the pool stored for it, and the run evaluates no density once
+    its moves are done.  That stored weight equals, compared with ==, the
+    row's two densities evaluated alone, so the pool's float and a one-row
+    evaluation are interchangeable."""
+
+    @pytest.mark.parametrize("case", ["toy", "sine_drift"])
+    def test_final_weight_is_the_pool_rows_weight(self, case, monkeypatch):
+        if case == "toy":
+            tgt = toy_target()
+            props, k0 = toy_proposals(tgt), 1
+        else:
+            tgt, props = sine_drift_step(t=60)
+            k0 = 3
+        init, n = initial_state(k0, tgt, props), 600
+        moves, calls = [], []  # calls: (density, moves made when it was called)
+        real_step, real_log_target, real_density = (
+            chain.step, chain.log_target, chain.student_log_density
+        )
+
+        def counted_step(*args):
+            moves.append(None)
+            return real_step(*args)
+
+        def spy_log_target(points, target):
+            calls.append(("log_target", len(moves)))
+            return real_log_target(points, target)
+
+        def spy_density(points, params):
+            calls.append(("student_log_density", len(moves)))
+            return real_density(points, params)
+
+        monkeypatch.setattr(chain, "step", counted_step)
+        monkeypatch.setattr(chain, "log_target", spy_log_target)
+        monkeypatch.setattr(chain, "student_log_density", spy_density)
+        final, trace = run_chain(init, n, tgt, props, seeded_rng(74, 0))
+        assert len(moves) == n
+        # every evaluation is a refill, made before the move that needed it
+        assert {name for name, _ in calls} == {"log_target", "student_log_density"}
+        assert max(made for _, made in calls) < n
+        last = np.flatnonzero(trace.accepted)[-1]
+        k = trace.k_proposed[last]
+        row = (trace.k_proposed[: last + 1] == k).sum() - 1
+        chunk, r = divmod(row, chain._POOL_ROWS)
+        assert final.k == k
+        assert np.shares_memory(final.points, final.supply.chunks[k][chunk])
+        assert np.array_equal(final.points, final.supply.chunks[k][chunk][r])
+        assert final.log_weight == final.supply.log_weight[k][row]
+        points = final.points[None]
+        alone = log_target(points, tgt)[0] - student_log_density(points, props.params(k))[0]
+        assert final.log_weight == alone
+        assert (trace.k_current != k0).any()
+
+    def test_supply_and_cursors_are_keyword_only(self):
+        # a (points, log_density, log_proposal) call is refused, not read as a supply
+        with pytest.raises(TypeError):
+            ChainState(np.zeros((1, 1)), -3.25, 1.5)
+
+
 class TestPooledChainAgainstScalarReference:
     """The pooled, batch-evaluated chain equals the one-candidate-at-a-time
-    chain on the same candidates and uniforms: same states, same cached
-    densities, same alphas, compared with ==."""
+    chain on the same candidates and uniforms: same states, same log
+    weights, same alphas, compared with ==."""
 
     @pytest.mark.parametrize("case", ["toy", "sine_drift"])
     def test_replay_equals_scalar_reference(self, case):
@@ -864,7 +932,7 @@ class TestContinuation:
             tgt = TargetDensity(tgt.lam, tgt.ctx, tgt.prior, label_weighted=tgt.label_weighted)
         else:
             _, props = sine_drift_step()
-        bare = ChainState(mid.points, mid.log_density, mid.log_proposal)
+        bare = ChainState(mid.points, mid.log_weight)
         a, ta = run_chain(mid, 200, tgt, props, seeded_rng(66, 1))
         b, tb = run_chain(bare, 200, tgt, props, seeded_rng(66, 1))
         assert a.supply is not mid.supply
@@ -898,7 +966,7 @@ class TestSupportProjection:
             jitter_scale=0.1,
         )
         state = initial_state(1, tgt, props)
-        assert math.isfinite(state.log_density)
+        assert math.isfinite(log_target(state.centers, tgt))
         assert np.abs(state.centers.points).max() <= 0.2
         # projected just inside the support ball of radius 2R
         assert np.abs(state.centers.points).max() == pytest.approx(0.2 * (1 - 1e-9), rel=1e-12)

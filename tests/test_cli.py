@@ -246,17 +246,21 @@ class TestRun:
         blank.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
         short = tmp_path / "short.csv"
         short.write_text("\n".join(lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:]) + "\n")
+        wide = tmp_path / "wide.csv"  # a field the header does not name is not dropped
+        wide.write_text("\n".join(lines[:2] + [lines[2] + ",0.1"] + lines[3:]) + "\n")
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         codes = {}
-        for src in (data, blank, short, empty):
+        for src in (data, blank, short, wide, empty):
             out = tmp_path / f"out-{src.stem}"
             codes[src.stem] = main(
                 ["run", "--config", small_config_path, "--data", str(src), "--out", str(out)]
             )
-        assert codes == {"data": 0, "blank": 0, "short": 2, "empty": 2}
+        assert codes == {"data": 0, "blank": 0, "short": 2, "wide": 2, "empty": 2}
         err = capsys.readouterr().err
-        assert "short.csv: line 5 has 3 fields" in err
+        assert "short.csv: line 5 has 3 fields, the header has 4" in err
+        assert "wide.csv: line 3 has 5 fields, the header has 4" in err
+        assert not (tmp_path / "out-short").exists() and not (tmp_path / "out-wide").exists()
         assert "no coordinate columns" in err
         plain, skipped = tmp_path / "out-data", tmp_path / "out-blank"
         written = sorted(f.name for f in plain.iterdir())
