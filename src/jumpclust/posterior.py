@@ -135,16 +135,21 @@ def _block_cells(dim: int, radius: float, resolution: int):
     raise GridTooLargeError(f"grid oracle supports d in {{1, 2}}, got d={dim}")
 
 
-def _unordered_cells(b: int, k: int):
-    """Chunks (idx (n, k), log_orders (n,)), n <= _CELL_CHUNK, of the
-    nondecreasing k-tuples of range(b), each once.  log_orders =
+def _unordered_cells(b: int, k: int, log_vols: np.ndarray):
+    """Chunks (idx (n, k), log_orders (n,), log_vol (n,)), n <= _CELL_CHUNK,
+    of the nondecreasing k-tuples of range(b), each once.  log_orders =
     log(k!/prod_j m_j!), m_j the count of cell j, counts the tuple's
     orderings; prod_j m_j! is the product over positions of the length of
-    the run of equal indices ending there."""
+    the run of equal indices ending there.  log_vol is the tuple's summed
+    cell log-volume, 0.0 + log_vols[idx[:, 0]] + ... + log_vols[idx[:, k-1]]
+    left to right, carried per prefix as log_runs is.  For k < 8 that is
+    the bytes of log_vols[idx].sum(axis=1): numpy's pairwise sum adds fewer
+    than 8 terms in order; from 8 terms on it splits them."""
     idx = np.zeros((1, 0), dtype=np.intp)
     last = np.zeros(1, dtype=np.intp)
     run = np.zeros(1, dtype=np.intp)
     log_runs = np.zeros(1)
+    vol = np.zeros(1)  # numpy's sum starts at 0.0 too: a lone -0.0 sums to 0.0
     for depth in range(1, k + 1):
         width = b - last  # choices of a next index >= last
         ends = np.cumsum(width)
@@ -163,9 +168,12 @@ def _unordered_cells(b: int, k: int):
             nidx = np.empty((hi - lo, depth), dtype=np.intp)
             nidx[:, :-1], nidx[:, -1] = idx[row], nxt
             nlog = log_runs[row] + np.log(nrun)
+            nvol = vol[row] + log_vols[nxt]
             if depth == k:
-                yield nidx, math.lgamma(k + 1) - nlog
-        idx, last, run, log_runs = nidx, nxt, nrun, nlog
+                yield nidx, math.lgamma(k + 1) - nlog, nvol
+        # last is a view of idx's last column, so the carried log-volumes
+        # take the place of a second copy of it in the oracle's peak memory
+        idx, last, run, log_runs, vol = nidx, nidx[:, -1], nrun, nlog, nvol
 
 
 def grid_oracle(tgt: TargetDensity, resolution: int) -> np.ndarray:
@@ -177,6 +185,9 @@ def grid_oracle(tgt: TargetDensity, resolution: int) -> np.ndarray:
     distinct ordering, k!/prod_j m_j! times.  Reorderings have equal
     log-target and cell volume, so this is the Riemann sum over all b^k
     ordered tuples in C(b+k-1, k) evaluations.  The budget counts b^k.
+    A tuple's cell log-volume is the sum :func:`_unordered_cells` carries
+    along its prefixes; it has the bytes of a row sum only below 8 terms,
+    which the limit of 3 slices keeps.
 
     Memory is one float64 per unordered tuple, C(b+k-1, k) per slice, plus
     one chunk's temporaries: each slice's log-weights are written chunk by
@@ -204,9 +215,9 @@ def grid_oracle(tgt: TargetDensity, resolution: int) -> np.ndarray:
     slice_logs = []
     for k in range(1, spec.max_clusters + 1):
         v, lo = np.empty(math.comb(b + k - 1, k)), 0
-        for idx, log_orders in _unordered_cells(b, k):
+        for idx, log_orders, log_vol in _unordered_cells(b, k, log_block_vols):
             hi = lo + idx.shape[0]
-            v[lo:hi] = log_target(block_pts[idx], tgt) + log_block_vols[idx].sum(axis=1) + log_orders
+            v[lo:hi] = log_target(block_pts[idx], tgt) + log_vol + log_orders
             lo = hi
         slice_logs.append(v)
     peak = max(float(v.max()) for v in slice_logs)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -227,10 +228,10 @@ class TestUnorderedCells:
         if chunk > 7:  # oracle sizes in chunks of 7 would take 10^5 chunks
             cases += [(150, 3), (400, 2), (2500, 2)]
         for b, k in cases:
-            got = list(_unordered_cells(b, k))
+            got = list(_unordered_cells(b, k, np.zeros(b)))
             ref = list(searchsorted_cells(b, k, chunk))
             assert len(got) == len(ref), (b, k)
-            for (idx, log_orders), (ref_idx, ref_log_orders) in zip(got, ref):
+            for (idx, log_orders, _), (ref_idx, ref_log_orders) in zip(got, ref):
                 assert idx.dtype == np.intp and idx.shape == ref_idx.shape, (b, k)
                 assert idx.tobytes() == ref_idx.tobytes(), (b, k)
                 assert log_orders.tobytes() == ref_log_orders.tobytes(), (b, k)
@@ -239,8 +240,8 @@ class TestUnorderedCells:
     @pytest.mark.parametrize("b", [1, 2, 5, 9])
     def test_each_unordered_tuple_once_with_its_orderings(self, b, k, monkeypatch):
         monkeypatch.setattr(posterior, "_CELL_CHUNK", 7)
-        chunks = list(_unordered_cells(b, k))
-        assert max(len(idx) for idx, _ in chunks) <= 7
+        chunks = list(_unordered_cells(b, k, np.zeros(b)))
+        assert max(len(idx) for idx, _, _ in chunks) <= 7
         idx = np.concatenate([c[0] for c in chunks])
         orders = np.exp(np.concatenate([c[1] for c in chunks]))
         assert idx.shape == (math.comb(b + k - 1, k), k)
@@ -255,9 +256,45 @@ class TestUnorderedCells:
 
     def test_chunks_bounded_at_oracle_sizes(self):
         for b, k in ((150, 3), (3000, 1), (400, 2)):
-            sizes = [len(idx) for idx, _ in _unordered_cells(b, k)]
+            sizes = [len(idx) for idx, _, _ in _unordered_cells(b, k, np.zeros(b))]
             assert sum(sizes) == math.comb(b + k - 1, k)
             assert max(sizes) <= _CELL_CHUNK
+
+
+def block_log_vols(kind, b):
+    """b cell log-volumes of a grid: the first b of d = 1 intervals, of d = 2
+    polar sectors (exactly the oracle's cells when b is a square), or
+    random values over six decades of magnitude with both signs, the first
+    of them -0.0."""
+    if kind == "d1-intervals":
+        return np.log(_block_cells(1, 1.0, max(b, 2))[1][:b])
+    if kind == "d2-sectors":
+        return np.log(_block_cells(2, 1.0, max(math.isqrt(b - 1) + 1, 2))[1][:b])
+    rng = seeded_rng(31, b)
+    out = rng.standard_normal(b) * 10.0 ** rng.uniform(-3, 3, size=b)
+    out[0] = -0.0
+    return out
+
+
+class TestCarriedLogVolumes:
+    """The enumerator carries each tuple's summed cell log-volume along its
+    prefixes; it has the bytes of the row sum the oracle gathered before."""
+
+    @pytest.mark.parametrize("kind", ["d1-intervals", "d2-sectors", "random"])
+    @pytest.mark.parametrize("chunk", [7, 1000, _CELL_CHUNK])
+    def test_equal_to_the_gathered_row_sums(self, chunk, kind, monkeypatch):
+        monkeypatch.setattr(posterior, "_CELL_CHUNK", chunk)
+        cases = [(b, k) for b in range(1, 10) for k in (1, 2, 3)]
+        cases += [(150, 3), (400, 2), (2500, 2)]  # the oracle's sizes
+        for b, k in cases:
+            log_vols = block_log_vols(kind, b)
+            assert log_vols.shape == (b,)
+            chunks = _unordered_cells(b, k, log_vols)
+            if chunk == 7 and b > 9:  # 10^5 chunks of 7: the first 2,000
+                chunks = itertools.islice(chunks, 2000)
+            for idx, _, log_vol in chunks:
+                assert log_vol.dtype == np.float64 and log_vol.shape == (len(idx),), (b, k)
+                assert log_vol.tobytes() == log_vols[idx].sum(axis=1).tobytes(), (b, k)
 
 
 def concatenated_oracle(tgt, resolution):
@@ -271,7 +308,7 @@ def concatenated_oracle(tgt, resolution):
         slice_logs = [
             np.concatenate([
                 log_target(pts[idx], tgt) + log_vols[idx].sum(axis=1) + log_orders
-                for idx, log_orders in _unordered_cells(pts.shape[0], k)
+                for idx, log_orders, _ in _unordered_cells(pts.shape[0], k, log_vols)
             ])
             for k in range(1, tgt.prior.max_clusters + 1)
         ]

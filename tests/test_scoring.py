@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpclust.core import Centers, seeded_rng
+from jumpclust.posterior import TargetDensity, log_target
+from jumpclust.priors import PriorSpec
 from jumpclust.scoring import (
     ScoreContext,
     instantaneous_loss,
@@ -67,6 +69,61 @@ class TestNearestSqDist:
                 ref = sq_dists(points, xs_t).min(axis=-2)
                 assert got.shape == ref.shape and got.flags.c_contiguous
                 assert got.tobytes() == ref.tobytes(), (t, points.shape)
+
+
+def center_major_nearest(points, xs_t):
+    """nearest_sq_dist with one loop order for every shape: the min over k of
+    center-major (k, n, t) distances."""
+    return sq_dists(np.ascontiguousarray(points.transpose(1, 0, 2)), xs_t).min(axis=0)
+
+
+class TestLoopOrder:
+    """A stack with more rows than observations takes its min with the rows
+    innermost; every shape gives the bytes of the center-major order."""
+
+    @staticmethod
+    def shapes(rng, t):
+        """(n, k) pairs around the switch at n = t and elsewhere in [1, 300] x [1, 20]."""
+        ns = [t, t + 1, t + 2, *rng.integers(1, 301, size=3)]
+        if t > 1:
+            ns.append(t - 1)
+        return [(int(n), int(rng.integers(1, 21))) for n in ns if n >= 1] + [(t + 1, 1), (t + 1, 20)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 5, 8, 40, 200])
+    def test_same_bytes_as_the_center_major_order(self, t, dim):
+        rng = seeded_rng(21, 100 * dim + t)
+        xs_t = np.ascontiguousarray(rng.uniform(-15, 15, size=(t, dim)).T)
+        for n, k in self.shapes(rng, t):
+            stacks = [rng.uniform(-30, 30, size=(n, k, dim))]
+            wide = rng.uniform(-30, 30, size=(2 * n, k + 1, 2 * dim))
+            stacks.append(wide[::2, 1:, ::2])  # strided along every axis
+            for points in stacks:
+                got = nearest_sq_dist(points, xs_t)
+                ref = center_major_nearest(points, xs_t)
+                assert got.dtype == np.float64 and got.shape == (n, t), (n, k)
+                assert got.flags.c_contiguous, (n, k)
+                assert got.tobytes() == ref.tobytes(), (n, k)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 3, 5, 40])
+    def test_a_stack_row_is_the_row_evaluated_alone(self, t, dim):
+        # a refill's size changes no weight: row i of a stack with rows
+        # innermost (n > t) equals row i alone (n = 1 <= t, center-major)
+        rng = seeded_rng(22, 100 * dim + t)
+        tgt = TargetDensity(
+            0.7,
+            random_context(rng, t, dim),
+            PriorSpec(kind="uniform", dim=dim, max_clusters=20, radius=3.0, decay=0.3),
+        )
+        for k in (1, 3, 20):
+            stack = rng.uniform(-2, 2, size=(t + 7, k, dim))
+            whole = log_target(stack, tgt)
+            assert np.isfinite(whole).all()
+            for n in (t, t + 1):  # both sides of the switch for the same rows
+                assert log_target(stack[:n], tgt).tobytes() == whole[:n].tobytes(), (n, k)
+            for i in range(stack.shape[0]):
+                assert log_target(stack[i : i + 1], tgt).tobytes() == whole[i : i + 1].tobytes()
 
 
 class TestSqDists:
