@@ -45,10 +45,10 @@ __all__ = [
 # rows per pool chunk: one draw block of student_sample, so a chunk's rows do
 # not depend on how many chunks a refill draws together
 _POOL_ROWS = BLOCK_ROWS
-# a refill evaluates at most as many whole chunks' rows as keep rows * k * d * t,
-# which bounds the score's (rows, k, t) distance array, to this many elements,
-# but at least one chunk's: so a batch keeps to max(2**15, _POOL_ROWS * k * d * t)
-# elements, and one chunk exceeds the bound at d = 2 whenever k * t > 512
+# a refill draws at most as many whole chunks as keep rows * k * d * t, which
+# bounds the score's (rows, k, t) distance array, to this many elements, but at
+# least one: so a batch keeps to max(2**15, _POOL_ROWS * k * d * t) elements,
+# and one chunk exceeds the bound at d = 2 whenever k * t > 512
 _BATCH_ELEMENTS = 2**15
 # one chain draw per iteration, uniform on [0, 3 * 2**50): its residue mod 3
 # gives the dimension offset (exactly 1/3 each of -1, 0, +1) and its
@@ -141,12 +141,12 @@ class CandidateSupply:
     Pool k is a table of k-block proposal draws: ``chunks[k]`` is the
     append-only list of read-only (``_POOL_ROWS``, k, d) point stacks, and
     ``log_weight[k]`` is a list of Python floats whose entry i is row i's
-    log-target minus its proposal log-density, for the rows evaluated so
-    far: all but fewer than ``_POOL_ROWS`` of the rows drawn.  Pool k has its
-    own generator, seeded from (seed, k), so its rows do not depend on who
-    asks for them.  A refill draws its chunks with one ``student_sample``
-    call, whose draw blocks are the chunks, so each chunk equals one drawn
-    alone; how many rows a refill evaluates changes no row and no weight.
+    log-target minus its proposal log-density, for every row drawn.  Pool k
+    has its own generator, seeded from (seed, k), so its rows do not depend
+    on who asks for them.  A refill draws its chunks with one
+    ``student_sample`` call, whose draw blocks are the chunks, so each chunk
+    equals one drawn alone; how many chunks a refill draws changes no row
+    and no weight.
     """
 
     def __init__(self, tgt: TargetDensity, proposals: StepProposals, seed: int):
@@ -156,36 +156,24 @@ class CandidateSupply:
         self._rngs = {}
 
     def refill(self, k: int, rows: int) -> None:
-        """Evaluate pool k's next ``rows`` rows, at most as many whole chunks'
-        worth as keep rows * k * d * t within ``_BATCH_ELEMENTS`` (at least
-        one chunk's), and append their log weights to ``log_weight[k]``.  The
-        rows are the last chunk's unevaluated ones, then, where those run
-        short, rows of as few new chunks as cover the rest, drawn by one
-        ``student_sample`` call.  Each of the two parts is evaluated by one
-        batched call of each density, so that no chunk is copied."""
-        chunks, log_weight = self.chunks[k], self.log_weight[k]
-        if not chunks:
+        """Draw and evaluate as many whole chunks of pool k as cover ``rows``
+        rows, at most as many as keep rows * k * d * t within
+        ``_BATCH_ELEMENTS`` (at least one), and append them to ``chunks[k]``
+        and their log weights to ``log_weight[k]``: one call of
+        ``student_sample`` and one of each density."""
+        if not self.chunks[k]:
             self._rngs[k] = seeded_rng(self.seed, k)
         params = self.proposals.params(k)
         chunk_elements = _POOL_ROWS * k * self.tgt.prior.dim * max(self.tgt.ctx.t, 1)
-        rows = min(rows, _POOL_ROWS * max(1, _BATCH_ELEMENTS // chunk_elements))
-        unevaluated = _POOL_ROWS * len(chunks) - len(log_weight)
-        if unevaluated:
-            tail = chunks[-1][_POOL_ROWS - unevaluated :][:rows]
-            log_weight += self._log_weights(tail, params)
-            rows -= len(tail)
-        if rows:
-            n_new = -(-rows // _POOL_ROWS) * _POOL_ROWS  # whole chunks
-            drawn = student_sample(params, n_new, self._rngs[k])
-            if not np.isfinite(drawn).all():
-                raise ValueError("candidate centers must have finite coordinates")
-            drawn.flags.writeable = False
-            chunks += (drawn[i : i + _POOL_ROWS] for i in range(0, n_new, _POOL_ROWS))
-            log_weight += self._log_weights(drawn[:rows], params)
-
-    def _log_weights(self, points: np.ndarray, params) -> list:
-        """The log importance weights of a (n, k, d) stack, as Python floats."""
-        return (log_target(points, self.tgt) - student_log_density(points, params)).tolist()
+        n_chunks = max(1, min(-(-rows // _POOL_ROWS), _BATCH_ELEMENTS // chunk_elements))
+        n = _POOL_ROWS * n_chunks
+        drawn = student_sample(params, n, self._rngs[k])
+        if not np.isfinite(drawn).all():
+            raise ValueError("candidate centers must have finite coordinates")
+        drawn.flags.writeable = False
+        self.chunks[k] += (drawn[i : i + _POOL_ROWS] for i in range(0, n, _POOL_ROWS))
+        log_weight = log_target(drawn, self.tgt) - student_log_density(drawn, params)
+        self.log_weight[k] += log_weight.tolist()
 
 
 def acceptance_log_prob(current, log_density: float, log_proposal: float) -> float:
@@ -251,12 +239,12 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
     from the last one's state with the same ``rng``, equals one run.
 
     The draws fix every move's dimension offset up front.  When a move finds
-    its pool's evaluated rows used up, the refill evaluates as many rows as
-    the moves left, this one first, would propose at that pool were the
-    chain to stay at its k.  From the first accepted move to another k on,
-    even once the chain is back at the k it started from, it may move
-    again, so a pool then grows by at most the rows it holds (at least one
-    chunk's), and never beyond that count.  A pool taken up from an earlier
+    its pool's rows used up, the refill asks for as many rows as the moves
+    left, this one first, would propose at that pool were the chain to stay
+    at its k.  From the first accepted move to another k on, even once the
+    chain is back at the k it started from, it may move again, so a refill
+    then asks for at most the rows its pool holds (at least one chunk's),
+    and never for more than that count.  A pool taken up from an earlier
     run grows by at least the rows it holds, so a chain run in many blocks
     refills each pool O(log moves) times.
     """
@@ -285,7 +273,7 @@ def run_chain(init: ChainState, n_steps: int, tgt: TargetDensity, proposals: Ste
         cursors[kp] = i + 1
         try:
             w = weights[kp][i]
-        except IndexError:  # the cursor reached the end of the pool's evaluated rows
+        except IndexError:  # the cursor reached the end of the pool's rows
             rows = _proposals_of(kp - k, k, p, offsets, len(kps))
             if carried[kp]:  # a pool taken up from an earlier run at least doubles
                 rows = max(rows, i)

@@ -205,11 +205,11 @@ def grid_oracle(tgt: TargetDensity, resolution: int) -> np.ndarray:
     if math.isinf(spec.radius):
         raise GridTooLargeError("grid oracle needs a finite support radius")
 
-    block_pts, block_vols = _block_cells(spec.dim, spec.radius, resolution)
-    b = block_pts.shape[0]
+    b = resolution**spec.dim  # cells per block, counted before any is built
     total = sum(b**k for k in range(1, spec.max_clusters + 1))
     if total > MAX_GRID_CELLS:
         raise GridTooLargeError(f"grid would need {total} cells (budget {MAX_GRID_CELLS})")
+    block_pts, block_vols = _block_cells(spec.dim, spec.radius, resolution)
 
     log_block_vols = np.log(block_vols)
     slice_logs = []

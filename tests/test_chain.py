@@ -214,7 +214,7 @@ class TestStepAgainstReferenceRule:
 def pool_candidates(supply, k, n):
     """The first n candidates of pool k, as the chain takes them: (points,
     log_density, log_proposal) rows, each chunk's densities evaluated alone;
-    the pool's evaluated log weights are a prefix of their differences,
+    the pool's log weights are their differences, one per drawn row,
     compared with ==."""
     while len(supply.log_weight[k]) < n:
         supply.refill(k, n - len(supply.log_weight[k]))
@@ -222,8 +222,7 @@ def pool_candidates(supply, k, n):
     for points in supply.chunks[k]:
         log_density = log_target(points, supply.tgt).tolist()
         rows += zip(points, log_density, student_log_density(points, params).tolist())
-    scored = supply.log_weight[k]
-    assert scored == [ld - lp for _, ld, lp in rows[: len(scored)]]
+    assert supply.log_weight[k] == [ld - lp for _, ld, lp in rows]
     return rows[:n]
 
 
@@ -625,16 +624,13 @@ class TestPooledChainAgainstScalarReference:
 
 
 class TestBatchedRefill:
-    """A refill evaluates the rows asked for, up to the element bound: the
-    last chunk's unevaluated rows, then, only when those fall short, rows of
-    whole chunks drawn by one student_sample call whose draw blocks are the
-    chunks, each part in one call of each density.  Every stored chunk
-    equals a chunk drawn alone from an equal-seeded generator, and the
-    pool's log weights are a prefix of those chunks' weights evaluated
-    alone, compared with ==."""
+    """A refill draws as many whole chunks as cover the rows asked for, up to
+    the element bound (at least one), by one student_sample call whose draw
+    blocks are the chunks, and evaluates every drawn row by one call of each
+    density.  Every stored chunk equals a chunk drawn alone from an
+    equal-seeded generator, and the pool's log weights equal those chunks'
+    weights evaluated alone, compared with ==."""
 
-    # the first refill draws one chunk; the second is served from its rows; the
-    # third evaluates that chunk's last rows, then a new chunk's first rows
     ROWS = (1, 23, 40, 500, 8, 300, 3)
 
     @pytest.mark.parametrize("case", ["toy", "sine_drift"])
@@ -646,47 +642,60 @@ class TestBatchedRefill:
         else:
             tgt, props = sine_drift_step(t=60)
             ks = (1, 2, 5, 9)  # at k = 9 one chunk exceeds the element bound
-        batch_rows = []
-        batched_log_target = chain.log_target
+        calls = []  # (name, points) per call: the stack drawn, or the stack evaluated
+        names = ["student_sample", "log_target", "student_log_density"]
+        real = {name: getattr(chain, name) for name in names}
 
-        def spy(points, target):
-            batch_rows.append(points.shape)
-            return batched_log_target(points, target)
+        def spy_sample(params, n, rng):
+            drawn = real["student_sample"](params, n, rng)
+            calls.append(("student_sample", drawn))
+            return drawn
 
-        monkeypatch.setattr(chain, "log_target", spy)
+        def spy(name):
+            def evaluate(points, arg):
+                calls.append((name, points))
+                return real[name](points, arg)
+
+            return evaluate
+
+        monkeypatch.setattr(chain, "student_sample", spy_sample)
+        monkeypatch.setattr(chain, "log_target", spy("log_target"))
+        monkeypatch.setattr(chain, "student_log_density", spy("student_log_density"))
         supply = CandidateSupply(tgt, props, 68)
         size, d, t = chain._POOL_ROWS, tgt.prior.dim, tgt.ctx.t
         capped = False
         for k in ks:
             rng, params = seeded_rng(68, k), props.params(k)
-            cap = size * max(1, chain._BATCH_ELEMENTS // (size * k * d * t))
+            cap = max(1, chain._BATCH_ELEMENTS // (size * k * d * t))
             log_weight = []  # the one-chunk evaluations of the chunks drawn so far
             for rows in self.ROWS:
-                scored, capped = len(supply.log_weight[k]), capped or rows > cap
-                unevaluated, batches = size * len(supply.chunks[k]) - scored, len(batch_rows)
+                held, before = len(supply.chunks[k]), len(calls)
                 supply.refill(k, rows)
-                # the last chunk's unevaluated rows, then the new chunks' rows
-                n = min(rows, cap)
-                parts = [min(n, unevaluated)] if unevaluated else []
-                parts += [n - unevaluated] if n > unevaluated else []
-                assert [shape[0] for shape in batch_rows[batches:]] == parts
-                assert len(supply.log_weight[k]) == scored + n
-                for points in supply.chunks[k][len(log_weight) // size :]:
+                capped = capped or -(-rows // size) > cap
+                n = size * min(-(-rows // size), cap)
+                assert [name for name, _ in calls[before:]] == names
+                drawn = calls[before][1]
+                assert drawn.shape == (n, k, d)
+                assert all(points is drawn for _, points in calls[before + 1 :])
+                for points in supply.chunks[k][held:]:
                     alone = student_sample(params, size, rng)
                     assert points.shape == alone.shape and (points == alone).all()
                     log_weight += (
                         log_target(alone, tgt) - student_log_density(alone, params)
                     ).tolist()
-                assert 0 <= len(log_weight) - len(supply.log_weight[k]) < size
-                assert supply.log_weight[k] == log_weight[: len(supply.log_weight[k])]
+                assert len(supply.chunks[k]) == held + n // size
+                assert len(supply.log_weight[k]) == size * len(supply.chunks[k])
+                assert supply.log_weight[k] == log_weight
         # a batch keeps to the element bound, or to one chunk where a chunk exceeds it
+        batches = [points.shape for name, points in calls if name == "log_target"]
         assert all(
             rows * k * d * t <= max(chain._BATCH_ELEMENTS, size * k * d * t)
-            for rows, k, _ in batch_rows
+            for rows, k, _ in batches
         )
         assert capped == (case == "sine_drift")
 
     def test_one_student_sample_call_per_refill(self, monkeypatch):
+        """Each refill draws the whole chunks that cover its rows, at least one."""
         calls, real_sample = [], chain.student_sample
 
         def spy(params, n, rng):
@@ -696,24 +705,20 @@ class TestBatchedRefill:
         monkeypatch.setattr(chain, "student_sample", spy)
         tgt = toy_target()
         supply = CandidateSupply(tgt, toy_proposals(tgt), 68)
-        size = chain._POOL_ROWS
-        for rows in self.ROWS:
-            drawn, before = size * len(supply.chunks[2]), len(calls)
-            short = len(supply.log_weight[2]) + rows - drawn
+        for rows in self.ROWS + (0,):
             supply.refill(2, rows)
-            assert len(calls) == before + (short > 0)
-            assert size * len(supply.chunks[2]) - drawn == (calls[-1] if short > 0 else 0)
-            assert size * len(supply.chunks[2]) - len(supply.log_weight[2]) < size
-        assert len(calls) == 4  # the 23-, 8- and 3-row refills drew nothing
+        assert calls == [32, 32, 64, 512, 32, 320, 32, 32]
+        assert len(supply.log_weight[2]) == sum(calls) == 32 * len(supply.chunks[2])
 
 
 def replayed_pool_sizes(trace, k0, seed, tgt, props):
-    """Each pool's evaluated rows after a fresh run from k0 with generator
+    """Each pool's rows after a fresh run from k0 with generator
     seeded_rng(seed, 0), by the refill rule replayed one move at a time from
     the trace and the run's offsets: the moves left that would propose the
     pool were the chain to stay at its k, at most the pool's rows again
-    (at least a chunk) from the first accepted move to another k on, and at
-    most the whole chunks that the element bound allows."""
+    (at least a chunk) from the first accepted move to another k on, rounded
+    up to whole chunks, and at most the whole chunks that the element bound
+    allows (at least one)."""
     p, size = props.max_clusters, chain._POOL_ROWS
     rng = seeded_rng(seed, 0)
     rng.integers(2**63)  # the supply's seed
@@ -725,7 +730,8 @@ def replayed_pool_sizes(trace, k0, seed, tgt, props):
             if left:
                 rows = min(rows, max(size, held[kp]))
             chunk_elements = size * kp * tgt.prior.dim * max(tgt.ctx.t, 1)
-            held[kp] += min(rows, size * max(1, chain._BATCH_ELEMENTS // chunk_elements))
+            cap = chain._BATCH_ELEMENTS // chunk_elements
+            held[kp] += size * max(1, min(-(-rows // size), cap))
         used[kp] += 1
         left = left or (accepted and kp != k)
         k = kp if accepted else k
@@ -733,10 +739,10 @@ def replayed_pool_sizes(trace, k0, seed, tgt, props):
 
 
 class TestRefillSize:
-    """A refill evaluates the rows the run's remaining moves would propose at
-    its pool were the chain to stay at its k; once the chain has left its
-    starting k, at most the pool's rows again, also after it comes back; a
-    pool carried from an earlier run at least doubles."""
+    """A refill draws the whole chunks that cover the rows the run's remaining
+    moves would propose at its pool were the chain to stay at its k; once the
+    chain has left its starting k, at most the pool's rows again, also after
+    it comes back; a pool carried from an earlier run at least doubles."""
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_offset_counts_equal_a_plain_count(self, p):
@@ -752,8 +758,11 @@ class TestRefillSize:
                     assert chain._proposals_of(kp - k, k, p, raw, j) == plain
 
     @pytest.mark.parametrize("p", [3, 4])  # k = 3 at the upper boundary, and inside
-    def test_a_chain_that_accepts_nothing_evaluates_only_its_proposals(self, p, monkeypatch):
-        """Each pool is refilled once, with exactly the moves that propose it."""
+    def test_a_chain_that_accepts_nothing_draws_whole_chunks_for_its_proposals(
+        self, p, monkeypatch
+    ):
+        """Each pool is refilled once, with the moves that propose it rounded up
+        to whole chunks."""
         tgt = toy_target(p=p, lam=1e4)  # so cold that no move leaves the warm start
         props = toy_proposals(tgt)
         init, batches, real_log_target = initial_state(3, tgt, props), [], chain.log_target
@@ -766,9 +775,10 @@ class TestRefillSize:
         final, trace = run_chain(init, 600, tgt, props, seeded_rng(69, 0))
         assert not trace.accepted.any()
         proposed = np.bincount(trace.k_proposed, minlength=p + 1).tolist()
-        assert [len(w) for w in final.supply.log_weight] == proposed
+        drawn = [-(-n // 32) * 32 for n in proposed]
+        assert [len(w) for w in final.supply.log_weight] == drawn
         assert list(final.cursors) == proposed
-        assert sorted(batches, key=lambda b: b[1]) == [(n, k) for k, n in enumerate(proposed) if n]
+        assert sorted(batches, key=lambda b: b[1]) == [(n, k) for k, n in enumerate(drawn) if n]
 
     def test_a_chain_back_at_its_starting_k_keeps_its_refills_capped(self, monkeypatch):
         """The chain leaves k0 at its first move to another k, comes back at its

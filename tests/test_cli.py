@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import jumpclust
-from jumpclust import cli
+from jumpclust import cli, posterior
 from jumpclust.cli import build_parser, main
 from jumpclust.core import RunRecord
 from jumpclust.metrics import (
@@ -527,12 +527,21 @@ class TestOracleCheck:
         assert ("--iters" if iters == "0" else "--burn-in") in captured.err
         assert "total variation" not in captured.out
 
-    @pytest.mark.parametrize("flags", [["--dim", "2"], ["--dim", "1", "--resolution", "3000"]])
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "2"],
+        ["--dim", "1", "--resolution", "3000"],
+        ["--dim", "2", "--max-clusters", "2", "--resolution", "400"],
+        ["--dim", "2", "--max-clusters", "2", "--resolution", "100000"],
+    ])
     def test_oversized_grid_refused_before_sampling(self, flags, monkeypatch, capsys):
         def no_chain(*args, **kwargs):
             raise AssertionError("the chain ran before the grid size was checked")
 
+        def no_cells(*args):
+            raise AssertionError("cells were built before the budget was checked")
+
         monkeypatch.setattr(cli, "run_chain", no_chain)
+        monkeypatch.setattr(posterior, "_block_cells", no_cells)
         assert exit_code(["oracle-check", *flags]) == 1
         captured = capsys.readouterr()
         assert "grid would need" in captured.err

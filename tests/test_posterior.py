@@ -122,11 +122,19 @@ class TestGridOracle:
         # truncation constants cancel per block, so the marginal is q
         np.testing.assert_allclose(oracle, [0.5, 0.5], atol=2e-3)
 
-    def test_size_limits_enforced(self):
+    def test_size_limits_enforced(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("cells were built before the budget was checked")
+
+        monkeypatch.setattr(posterior, "_block_cells", no_cells)
         prior = PriorSpec(kind="uniform", dim=1, max_clusters=3, radius=1.0)
         tgt = TargetDensity.prior_only(prior)
         with pytest.raises(GridTooLargeError):
             grid_oracle(tgt, resolution=3000)  # 3000^3 cells
+        plane = PriorSpec(kind="uniform", dim=2, max_clusters=2, radius=1.0)
+        for resolution in (400, 10**5):  # resolution^2 cells per block
+            with pytest.raises(GridTooLargeError, match="grid would need"):
+                grid_oracle(TargetDensity.prior_only(plane), resolution=resolution)
         big = PriorSpec(kind="uniform", dim=1, max_clusters=4, radius=1.0)
         with pytest.raises(GridTooLargeError):
             grid_oracle(TargetDensity.prior_only(big), resolution=10)
