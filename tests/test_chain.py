@@ -758,11 +758,9 @@ class TestRefillSize:
                     assert chain._proposals_of(kp - k, k, p, raw, j) == plain
 
     @pytest.mark.parametrize("p", [3, 4])  # k = 3 at the upper boundary, and inside
-    def test_a_chain_that_accepts_nothing_draws_whole_chunks_for_its_proposals(
-        self, p, monkeypatch
-    ):
+    def test_a_chain_that_accepts_nothing_evaluates_only_its_proposals(self, p, monkeypatch):
         """Each pool is refilled once, with the moves that propose it rounded up
-        to whole chunks."""
+        to whole chunks, and evaluates nothing beyond those chunks."""
         tgt = toy_target(p=p, lam=1e4)  # so cold that no move leaves the warm start
         props = toy_proposals(tgt)
         init, batches, real_log_target = initial_state(3, tgt, props), [], chain.log_target
