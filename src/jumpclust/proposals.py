@@ -114,10 +114,16 @@ def within_cluster_loss(centers: np.ndarray, data: np.ndarray) -> float:
     return float(nearest_sq_dist(centers, data.T).sum())
 
 
-def _plusplus_init(x: np.ndarray, xt: np.ndarray, k: int, restarts: int, rng) -> np.ndarray:
-    """k-means++ seeding, vectorized across restarts. Returns (restarts, k, d)."""
+def _plusplus_init(x: np.ndarray, xt: np.ndarray, k: int, restarts: int, rng,
+                   extra: Optional[np.ndarray] = None) -> np.ndarray:
+    """k-means++ seeding, vectorized across restarts, followed by the
+    (m, k, d) starts ``extra`` if given.  Returns (restarts + m, k, d)."""
     n = x.shape[0]
-    centers = np.empty((restarts, k, x.shape[1]))
+    m = 0 if extra is None else extra.shape[0]
+    stack = np.empty((restarts + m, k, x.shape[1]))
+    if m:
+        stack[restarts:] = extra
+    centers = stack[:restarts]
     centers[:, 0] = x[rng.integers(0, n, size=restarts)]
     d2 = sq_dists(centers[:, :1], xt)[:, 0]  # (restarts, n)
     for j in range(1, k):
@@ -128,7 +134,7 @@ def _plusplus_init(x: np.ndarray, xt: np.ndarray, k: int, restarts: int, rng) ->
         idx = (cum >= u).argmax(axis=1)
         centers[:, j] = x[idx]
         d2 = np.minimum(d2, sq_dists(centers[:, j : j + 1], xt)[:, 0])
-    return centers
+    return stack
 
 
 _TOL = 1e-8  # a restart whose pass improves its loss by less than this fraction is done
@@ -146,27 +152,43 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarr
     labels, so its new means are bit for bit its centers and later passes
     would only repeat this one; counting it done changes no bit.  Once
     every restart is done, the losses that pass computed are returned;
-    only the ``_MAX_ITER`` exit scores the centers again.
+    only the ``_MAX_ITER`` exit scores the centers again.  The first pass
+    has no previous loss to test (it is infinite), so it only moves.
+
+    The M-step sums each cluster in point order: one ``np.bincount`` per
+    coordinate over the labels of all restarts, flattened to restart * k
+    + label, weighted by that coordinate repeated once per restart.  This
+    is the order of the one-hot ``einsum("rnk,nd->rkd")`` it replaced for
+    every k > 1, so the means keep their bytes.  At k = 1 (with d = 1) the
+    einsum reduces over the points in SIMD partial sums instead, so k = 1
+    keeps the einsum; its one cluster holds every point.
     """
-    restarts, k, _ = centers.shape
-    prev = np.full(restarts, np.inf)
-    prev_labels = None
-    eye = np.eye(k)
+    restarts, k, d = centers.shape
+    rk = restarts * k
     row_offsets = k * np.arange(restarts)[:, None]
-    for _ in range(_MAX_ITER):
+    if k == 1:
+        ones = np.ones((restarts, x.shape[0], 1))
+    else:
+        weights = np.concatenate([xt] * restarts, axis=1)  # (d, r*n): x_j once per restart
+    for i in range(_MAX_ITER):
         d2 = sq_dists(centers, xt)  # (r, k, n)
         labels = d2.argmin(axis=1)
         point_loss = d2.min(axis=1)
         loss = point_loss.sum(axis=1)
-        counts = np.bincount((labels + row_offsets).ravel(), minlength=restarts * k)
-        counts = counts.reshape(restarts, k)
+        flat = (labels + row_offsets).ravel()
+        counts = np.bincount(flat, minlength=rk).reshape(restarts, k)
         full = counts.all(axis=1)
-        done = loss >= prev * (1.0 - _TOL)
-        if prev_labels is not None:
-            done |= full & (labels == prev_labels).all(axis=1)
-        if done.all():
-            return centers, loss
-        sums = np.einsum("rnk,nd->rkd", eye[labels], x)
+        if i:
+            done = (loss >= prev * (1.0 - _TOL)) | (full & (labels == prev_labels).all(axis=1))
+            if done.all():
+                return centers, loss
+        if k == 1:
+            sums = np.einsum("rnk,nd->rkd", ones, x)
+        else:
+            sums = np.empty((rk, d))
+            for j in range(d):
+                sums[:, j] = np.bincount(flat, weights[j], rk)
+            sums = sums.reshape(restarts, k, d)
         if full.all():
             new_centers = sums / counts[:, :, None]
         else:
@@ -177,8 +199,9 @@ def _lloyd(x: np.ndarray, xt: np.ndarray, centers: np.ndarray) -> Tuple[np.ndarr
                 empty = np.nonzero(counts[r] == 0)[0]
                 farthest = np.argsort(point_loss[r])[::-1][: empty.size]
                 new_centers[r, empty] = x[farthest]
-        centers = np.where(done[:, None, None], centers, new_centers)
-        prev, prev_labels = loss, labels
+        if i and done.any():
+            new_centers = np.where(done[:, None, None], centers, new_centers)
+        centers, prev, prev_labels = new_centers, loss, labels
     return centers, nearest_sq_dist(centers, xt).sum(axis=1)
 
 
@@ -218,13 +241,15 @@ def kmeans_fit(
         fit = np.concatenate([x, pad + pad_jitter * rng.standard_normal(pad.shape)])
     else:
         xt = np.ascontiguousarray(x.T)
-        starts = [] if rng is None else [_plusplus_init(x, xt, k, cfg.restarts, rng)]
+        starts = None
         if extra_init is not None:
-            extra = np.asarray(extra_init, dtype=float)
-            if extra.shape[-2:] != (k, d) or extra.ndim not in (2, 3):
+            starts = np.asarray(extra_init, dtype=float)
+            if starts.shape[-2:] != (k, d) or starts.ndim not in (2, 3):
                 raise ValueError(f"extra_init must be a (k, d) or (m, k, d) stack, k={k}, d={d}")
-            starts.append(extra.reshape(-1, k, d))
-        centers, losses = _lloyd(x, xt, np.concatenate(starts))
+            starts = starts.reshape(-1, k, d)
+        if rng is not None:
+            starts = _plusplus_init(x, xt, k, cfg.restarts, rng, starts)
+        centers, losses = _lloyd(x, xt, starts)
         fit = centers[int(losses.argmin())].copy()
     fit.flags.writeable = False
     return fit
@@ -266,17 +291,23 @@ class StepProposals:
         self._jitter = 1e-6 * jitter_scale
         self._params: Dict[int, ProposalParams] = {}
         self._earlier = {} if earlier_fits is None else earlier_fits
+        self._data_t = np.ascontiguousarray(x.T)  # (d, t), for the split's farthest point
 
     def _fit(self, k: int) -> None:
-        n = self.data.shape[0]
+        n, d = self.data.shape
         earlier = self._earlier.get(k) if k <= n else None
-        starts = [] if earlier is None else [earlier]
-        prev = self._params.get(k - 1)
-        if prev is not None and k <= n:
-            far = self.data[nearest_sq_dist(prev.locations, self.data.T).argmax()]
-            starts.append(np.concatenate([prev.locations, far.reshape(1, -1)]))
+        prev = self._params.get(k - 1) if k <= n else None
+        starts = None
+        if earlier is not None or prev is not None:
+            # the earlier fit first, then the split of the (k-1)-fit
+            starts = np.empty(((earlier is not None) + (prev is not None), k, d))
+            if earlier is not None:
+                starts[0] = earlier
+            if prev is not None:
+                starts[-1, :-1] = prev.locations
+                starts[-1, -1] = self.data[nearest_sq_dist(prev.locations, self._data_t).argmax()]
         rng = self._rng_for_k(k) if earlier is None else None
-        fit = kmeans_fit(self.data, k, self.kmeans_cfg, rng, starts or None, self._jitter)
+        fit = kmeans_fit(self.data, k, self.kmeans_cfg, rng, starts, self._jitter)
         self._earlier[k] = fit
         self._params[k] = ProposalParams(fit, self.tau)
 

@@ -62,35 +62,39 @@ def nearest_sq_dist(points: np.ndarray, xs_t: np.ndarray) -> np.ndarray:
 
     The min runs over k contiguous slabs, in one of two loop orders:
 
-    - a stack with more rows than observations (n > t) builds its (k, t, n)
-      distances with the rows innermost, :func:`sq_dists` of the
-      observations against a coordinate-major (d, k, 1, n) copy of the
-      points, and transposes the (t, n) min;
+    - a stack with more rows than observations (n > t) and more than one
+      center (k > 1) builds its (k, t, n) distances with the rows
+      innermost, :func:`sq_dists` of the observations against a
+      coordinate-major (d, k, 1, n) copy of the points, and transposes the
+      (t, n) min;
     - every other shape builds center-major (k, ..., t) distances.
 
     numpy pays per inner loop, and an inner loop spans the last axis, so the
-    rule puts the longer of n and t there.  Each distance is the same
-    per-coordinate sum in the same order ((x - p)^2 and (p - x)^2 round
-    alike) and a min is exact, so no byte depends on the order.  Time of
+    rule puts the longer of n and t there.  A k = 1 stack stays
+    center-major: its min reduces nothing, so the rows-innermost order's
+    transposed (n, t) copy is as large as its distances.  Each distance is
+    the same per-coordinate sum in the same order ((x - p)^2 and (p - x)^2
+    round alike) and a min is exact, so no byte depends on the order.  Time of
     the rows-innermost order over the center-major one (best of 15, 2
     cores, numpy 2.4.6):
 
         (n, k, d, t)          ratio
         (4096, 3, 1, 3)       0.36   one grid-oracle chunk
-        (4096, 1, 1, 3)       0.60
+        (4096, 1, 1, 3)       0.60   k = 1, kept center-major
         (512, 8, 2, 3)        0.46
         (64, 20, 2, 5)        0.59
         (24, 20, 2, 24)       0.97
-        (128, 1, 1, 120)      1.68   k = 1 at long t: the rule loses here
+        (128, 1, 1, 120)      1.68   k = 1, kept center-major
         (24, 20, 2, 120)      1.05   n <= t, kept center-major
 
     Over the calls of one benchmark operation (seed 7), the rule takes 65 %
     off this kernel's time on the grid-oracle check and 23 % on short
     replicated streams, and under 1 % on long streams, where rows are few
     next to t; rows innermost for every shape would add 6-10 % to the
-    kernel's time there.
+    kernel's time there.  Keeping k = 1 center-major moves it by under
+    0.3 ms per operation on every workload.
     """
-    if points.ndim == 3 and points.shape[0] > xs_t.shape[1]:
+    if points.ndim == 3 and points.shape[0] > xs_t.shape[1] and points.shape[1] > 1:
         rows = np.ascontiguousarray(points.transpose(2, 1, 0))[:, :, None, :]
         return np.ascontiguousarray(sq_dists(xs_t.T, rows).min(axis=0).T)
     center_major = np.ascontiguousarray(points.transpose(-2, *range(points.ndim - 2), -1))

@@ -443,8 +443,9 @@ class TestKMeansGolden:
 
 
 def reference_lloyd(x, xt, centers, max_iter, tol):
-    """``proposals._lloyd`` before it stopped restarts at stable labels: the
-    reference its stop rule is checked against."""
+    """``proposals._lloyd`` before it stopped restarts at stable labels and
+    summed clusters by ``np.bincount``: the reference its stop rule and its
+    cluster sums (an einsum over a one-hot) are checked against."""
     restarts, k, _ = centers.shape
     prev = np.full(restarts, np.inf)
     eye = np.eye(k, dtype=bool)
@@ -491,6 +492,26 @@ def lloyd_case(i):
     return x, np.ascontiguousarray(x.T), centers, max_iter, tol
 
 
+def stream_lloyd_case(i):
+    """Case i of a seeded batch of Lloyd problems at the sizes a stream's
+    proposal fits reach: (x, xt, centers) with n = 45..250, k = 1..12,
+    d = 1..3 and 1-2 restarts, tied points and far centers; a quarter of
+    the cases are k = 1, at every d and restart count."""
+    rng = seeded_rng(92, i)
+    d, r = 1 + i % 3, 1 + (i // 3) % 2
+    k = 1 if (i // 6) % 4 == 0 else int(rng.integers(2, 13))
+    n = int(rng.integers(45, 251))
+    groups = rng.uniform(-8, 8, size=(8, d))
+    x = groups[rng.integers(0, 8, size=n)] + rng.standard_normal((n, d))
+    if i % 5 == 1:  # rounded and duplicated points: tied distances
+        x = np.round(x)
+        x[n // 2 :] = x[: n - n // 2]
+    centers = x[rng.integers(0, n, size=(r, k))] + (i % 2) * rng.standard_normal((r, k, d))
+    if i % 7 == 0:  # a center nothing is nearest to: its cluster goes empty
+        centers[:, -1] = 1e3
+    return x, np.ascontiguousarray(x.T), centers
+
+
 class TestLloydStopRule:
     """``_lloyd`` stops a restart once its labels settle; the fits and
     losses are bit for bit those of the loop that ran on to the tol test.
@@ -503,6 +524,18 @@ class TestLloydStopRule:
             monkeypatch.setattr(proposals, "_MAX_ITER", max_iter)
             got = proposals._lloyd(x, xt, centers)
             ref = reference_lloyd(x, xt, centers, max_iter, tol)
+            assert got[0].tobytes() == ref[0].tobytes(), i
+            assert got[1].tobytes() == ref[1].tobytes(), i
+
+    def test_same_bits_as_the_reference_loop_at_stream_sizes(self):
+        # the cluster sums add each cluster's points in point order, as the
+        # reference's einsum does for k > 1; at k = 1, d = 1 the einsum sums
+        # in SIMD partial sums, which long clusters tell apart
+        assert (proposals._MAX_ITER, proposals._TOL) == (100, 1e-8)
+        for i in range(600):
+            x, xt, centers = stream_lloyd_case(i)
+            got = proposals._lloyd(x, xt, centers)
+            ref = reference_lloyd(x, xt, centers, 100, 1e-8)
             assert got[0].tobytes() == ref[0].tobytes(), i
             assert got[1].tobytes() == ref[1].tobytes(), i
 

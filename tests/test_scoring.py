@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jumpclust import scoring
 from jumpclust.core import Centers, seeded_rng
 from jumpclust.posterior import TargetDensity, log_target
 from jumpclust.priors import PriorSpec
@@ -78,8 +79,9 @@ def center_major_nearest(points, xs_t):
 
 
 class TestLoopOrder:
-    """A stack with more rows than observations takes its min with the rows
-    innermost; every shape gives the bytes of the center-major order."""
+    """A stack with more rows than observations and more than one center
+    takes its min with the rows innermost; every shape gives the bytes of
+    the center-major order."""
 
     @staticmethod
     def shapes(rng, t):
@@ -104,6 +106,21 @@ class TestLoopOrder:
                 assert got.dtype == np.float64 and got.shape == (n, t), (n, k)
                 assert got.flags.c_contiguous, (n, k)
                 assert got.tobytes() == ref.tobytes(), (n, k)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n, t", [(128, 120), (4096, 3)])
+    def test_a_one_center_stack_stays_center_major(self, n, t, dim, monkeypatch):
+        # k = 1: the min reduces nothing, so the rows-innermost order's
+        # transposed copy would be as large as the distances themselves
+        rng = seeded_rng(23, 100 * dim + t)
+        xs_t = np.ascontiguousarray(rng.uniform(-15, 15, size=(t, dim)).T)
+        points = rng.uniform(-30, 30, size=(n, 1, dim))
+        shapes, kernel = [], scoring.sq_dists
+        monkeypatch.setattr(scoring, "sq_dists", lambda p, x: shapes.append(p.shape) or kernel(p, x))
+        got = nearest_sq_dist(points, xs_t)
+        assert shapes == [(1, n, dim)]  # one center-major pass
+        assert got.flags.c_contiguous and got.shape == (n, t)
+        assert got.tobytes() == center_major_nearest(points, xs_t).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("t", [1, 3, 5, 40])
